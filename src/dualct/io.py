@@ -193,7 +193,7 @@ def solver_params_from_config(cfg: dict | None, mode: dict | None = None) -> Sol
         mtype = mode.get("type", "converge")
         if mtype == "phases":
             params.phase_mode = True
-            params.phases = int(mode.get("phases", 15))
+            params.phases = mode.get("phases", 15)
         elif mtype != "converge":
             raise ConfigError(f"unknown mode {mtype!r}")
     params.validate()

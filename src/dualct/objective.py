@@ -8,12 +8,14 @@ extractors).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import regularizer as reg
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .tomo import Image, ScanGeometry, Sinogram, ViewMask, system_matrix
 
 @dataclass
@@ -26,9 +28,6 @@ class DualState:
     def __post_init__(self):
         if not self.z.is_full_view:
             raise ConfigError("state sinogram must be full-view")
-
-    def copy(self) -> "DualState":
-        return DualState(self.x.copy(), self.z.copy())
 
 
 @dataclass
@@ -58,82 +57,107 @@ class ProblemSpec:
         return (self.geometry.n_views_full, self.geometry.n_dets)
 
 
-def _check_state(state: DualState, spec: ProblemSpec) -> None:
+def _reg_grad(y: np.ndarray, weights: reg.ConvStack | None, eps: float,
+              forward=None) -> np.ndarray:
+    if weights is None:
+        return np.zeros_like(y)
+    return reg.smoothed_grad(y, weights, eps, forward=forward)
+
+
+class Point:
+    """One iterate (x, z) with everything the solver evaluates at it.
+
+    Construction applies A once and keeps Ax, both residuals, the data term
+    ``f`` and each domain's extractor features with their pre-activation
+    cache. Gradients and phi_eps are computed on first use and kept per eps.
+    ``x`` and ``z`` are never modified and must be finite.
+    """
+
+    def __init__(self, spec: ProblemSpec, x: np.ndarray, z: np.ndarray):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+            raise NumericalError("non-finite iterate")
+        self.spec, self.x, self.z = spec, x, z
+        self._a = system_matrix(spec.geometry)
+        self.ax = (self._a @ x.ravel()).reshape(spec.sino_shape())
+        self.proj_res = self.ax - z
+        self.data_res = z[spec.mask.indices()] - spec.measured.values
+        self.f = float(0.5 * np.sum(self.proj_res**2)
+                       + 0.5 * spec.lam * np.sum(self.data_res**2))
+        self._domains = ((x, spec.image_weights), (z, spec.sino_weights))
+        self.forward = tuple(None if w is None else reg.feature_forward(y, w, with_cache=True)
+                             for y, w in self._domains)
+        self._phi, self._reg_grads, self._grad = {}, {}, {}
+
+    def grad_f_x(self, z: np.ndarray | None = None) -> np.ndarray:
+        """A^T (Ax - z) for this point's z or a given one; applies only A^T."""
+        res = self.proj_res if z is None else self.ax - z
+        return (self._a.T @ res.ravel()).reshape(self.x.shape)
+
+    @cached_property
+    def grad_f(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dx, d/dz) of the data term: A^T (Ax - z) and
+        -(Ax - z) + lambda P0^T (P0 z - s)."""
+        gz = -self.proj_res
+        gz[self.spec.mask.indices()] += self.spec.lam * self.data_res
+        return self.grad_f_x(), gz
+
+    def phi(self, eps: float) -> float:
+        """Smoothed objective value f + R_eps(x) + Q_eps(z)."""
+        if eps not in self._phi:
+            val = self.f
+            for (y, w), fwd in zip(self._domains, self.forward):
+                if w is not None:
+                    val += reg.smoothed_value(y, w, eps, field=fwd[0])
+            self._phi[eps] = val
+        return self._phi[eps]
+
+    def reg_grads(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(image, sinogram) smoothed-regularizer gradients."""
+        if eps not in self._reg_grads:
+            self._reg_grads[eps] = tuple(_reg_grad(y, w, eps, fwd) for (y, w), fwd
+                                         in zip(self._domains, self.forward))
+        return self._reg_grads[eps]
+
+    def grad(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dx, d/dz) of the smoothed objective."""
+        if eps not in self._grad:
+            self._grad[eps] = tuple(gf + gr for gf, gr in zip(self.grad_f, self.reg_grads(eps)))
+        return self._grad[eps]
+
+    def state(self) -> DualState:
+        """A copy of the point as a public DualState."""
+        geo = self.spec.geometry
+        return DualState(Image(geo.grid, self.x.copy()),
+                         Sinogram(geo, np.arange(geo.n_views_full), self.z.copy()))
+
+
+def evaluate(state: DualState, spec: ProblemSpec) -> Point:
+    """The Point at ``state``, after checking that it belongs to ``spec``."""
     if state.x.grid != spec.geometry.grid:
         raise ConfigError("state image grid does not match geometry")
     if state.z.geometry != spec.geometry:
         raise ConfigError("state sinogram geometry does not match")
-
-
-def _residuals(state: DualState, spec: ProblemSpec):
-    """(Ax - z, P0 z - s) as flat/structured arrays."""
-    a = system_matrix(spec.geometry)
-    ax = a @ state.x.values.ravel()
-    proj_res = ax.reshape(spec.sino_shape()) - state.z.values
-    sel = spec.mask.indices()
-    data_res = state.z.values[sel] - spec.measured.values
-    return proj_res, data_res
-
-
-def data_term(state: DualState, spec: ProblemSpec) -> float:
-    """1/2 ||Ax - z||^2 + lambda/2 ||P0 z - s||^2."""
-    _check_state(state, spec)
-    proj_res, data_res = _residuals(state, spec)
-    return float(0.5 * np.sum(proj_res**2) + 0.5 * spec.lam * np.sum(data_res**2))
-
-
-def grad_f_x(state: DualState, spec: ProblemSpec) -> np.ndarray:
-    """A^T (Ax - z), returned on the image grid."""
-    _check_state(state, spec)
-    a = system_matrix(spec.geometry)
-    proj_res, _ = _residuals(state, spec)
-    return (a.T @ proj_res.ravel()).reshape(spec.geometry.grid.shape)
-
-
-def grad_f_z(state: DualState, spec: ProblemSpec) -> np.ndarray:
-    """-(Ax - z) + lambda P0^T (P0 z - s), on the full-view sinogram grid."""
-    _check_state(state, spec)
-    proj_res, data_res = _residuals(state, spec)
-    g = -proj_res
-    g[spec.mask.indices()] += spec.lam * data_res
-    return g
-
-
-def _reg_value(y: np.ndarray, weights: reg.ConvStack | None, eps: float) -> float:
-    if weights is None:
-        return 0.0
-    return reg.smoothed_value(y, weights, eps)
-
-
-def _reg_grad(y: np.ndarray, weights: reg.ConvStack | None, eps: float) -> np.ndarray:
-    if weights is None:
-        return np.zeros_like(y)
-    return reg.smoothed_grad(y, weights, eps)
+    return Point(spec, state.x.values, state.z.values)
 
 
 def phi_eps(state: DualState, spec: ProblemSpec, eps: float) -> float:
     """Smoothed objective value f + R_eps(x) + Q_eps(z)."""
-    val = data_term(state, spec)
-    val += _reg_value(state.x.values, spec.image_weights, eps)
-    val += _reg_value(state.z.values, spec.sino_weights, eps)
-    return val
+    return evaluate(state, spec).phi(eps)
 
 
 def phi_unsmoothed(state: DualState, spec: ProblemSpec) -> float:
     """Original nonsmooth objective (plain l2,1 regularizers)."""
-    val = data_term(state, spec)
-    if spec.image_weights is not None:
-        val += reg.l21_norm(reg.feature_forward(state.x.values, spec.image_weights))
-    if spec.sino_weights is not None:
-        val += reg.l21_norm(reg.feature_forward(state.z.values, spec.sino_weights))
+    point = evaluate(state, spec)
+    val = point.f
+    for fwd in point.forward:
+        if fwd is not None:
+            val += reg.l21_norm(fwd[0])
     return val
 
 
 def grad_phi_eps(state: DualState, spec: ProblemSpec, eps: float):
     """(d/dx, d/dz) of the smoothed objective, as two arrays."""
-    gx = grad_f_x(state, spec) + _reg_grad(state.x.values, spec.image_weights, eps)
-    gz = grad_f_z(state, spec) + _reg_grad(state.z.values, spec.sino_weights, eps)
-    return gx, gz
+    return evaluate(state, spec).grad(eps)
 
 
 def grad_norm(gx: np.ndarray, gz: np.ndarray) -> float:
@@ -141,71 +165,66 @@ def grad_norm(gx: np.ndarray, gz: np.ndarray) -> float:
     return float(np.sqrt(np.sum(gx**2) + np.sum(gz**2)))
 
 
-def lipschitz_data(spec: ProblemSpec, power_iters: int = 50, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral norm of the Hessian of f.
+def block_lipschitz(spec: ProblemSpec, power_iters: int = 50, seed: int = 0):
+    """Hessian spectral norms of f: (z-block, x-block, whole).
 
     The Hessian is the constant block matrix
-    [[A^T A, -A^T], [-A, I + lambda P0^T P0]].
+    [[A^T A, -A^T], [-A, I + lambda P0^T P0]]. The z-block norm is exactly
+    1 + lambda; the x-block norm ||A^T A|| and the norm of the whole are
+    estimated by power iteration.
     """
     a = system_matrix(spec.geometry)
+    n_x = a.shape[1]
     sel = spec.mask.indices()
     shape = spec.sino_shape()
-    rng = np.random.default_rng(seed)
-    vx = rng.standard_normal(spec.geometry.grid.shape)
-    vz = rng.standard_normal(shape)
-    nrm = np.sqrt(np.sum(vx**2) + np.sum(vz**2))
-    vx /= nrm
-    vz /= nrm
-    lam_est = 0.0
-    for _ in range(power_iters):
-        av = (a @ vx.ravel()).reshape(shape)
-        hx = (a.T @ (av - vz).ravel()).reshape(vx.shape)
-        hz = -(av - vz)
+
+    def hessian(v):
+        vz = v[n_x:].reshape(shape)
+        r = (a @ v[:n_x]).reshape(shape) - vz
+        hz = -r
         hz[sel] += spec.lam * vz[sel]
-        nrm = np.sqrt(np.sum(hx**2) + np.sum(hz**2))
-        if nrm == 0.0:
-            return 0.0
-        lam_est = nrm
-        vx = hx / nrm
-        vz = hz / nrm
-    return float(lam_est)
+        return np.concatenate([a.T @ r.ravel(), hz.ravel()])
 
-
-def block_lipschitz(spec: ProblemSpec, power_iters: int = 50, seed: int = 0):
-    """Per-block Hessian spectral norms of f: (z-block, x-block).
-
-    The z-block Hessian is I + lambda P0^T P0, whose norm is exactly
-    1 + lambda; the x-block Hessian A^T A is estimated by power iteration.
-    """
-    a = system_matrix(spec.geometry)
+    l_x = reg.power_iteration(lambda v: a.T @ (a @ v),
+                              np.random.default_rng(seed).standard_normal(n_x), power_iters)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    lam_est = 0.0
-    for _ in range(power_iters):
-        w = a.T @ (a @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        lam_est = nrm
-        v = w / nrm
-    return 1.0 + spec.lam, float(lam_est)
+    v = np.concatenate([rng.standard_normal(n_x), rng.standard_normal(a.shape[0])])
+    l_f = reg.power_iteration(hessian, v, power_iters, norm=lambda u: np.sqrt(
+        np.sum(u[:n_x]**2) + np.sum(u[n_x:]**2)))
+    return 1.0 + spec.lam, l_x, l_f
 
 
-def lipschitz_regularizers(spec: ProblemSpec, eps: float, seed: int = 0):
-    """(image, sinogram) regularizer gradient Lipschitz estimates at eps."""
-    lr = 0.0
-    lq = 0.0
-    if spec.image_weights is not None and not spec.image_weights.is_zero():
-        lr = reg.lipschitz_estimate(spec.image_weights, eps,
-                                    spec.geometry.grid.shape, seed=seed)
-    if spec.sino_weights is not None and not spec.sino_weights.is_zero():
-        lq = reg.lipschitz_estimate(spec.sino_weights, eps,
-                                    spec.sino_shape(), seed=seed)
-    return lr, lq
+def lipschitz_regularizers(spec: ProblemSpec, seed: int = 0):
+    """(image, sinogram) regularizer gradient Lipschitz estimates, as
+    functions of eps; zero for an absent or all-zero regularizer."""
+    return tuple((lambda eps: 0.0) if w is None or w.is_zero()
+                 else reg.lipschitz_estimate(w, probe_shape, seed=seed)
+                 for w, probe_shape in ((spec.image_weights, spec.geometry.grid.shape),
+                                        (spec.sino_weights, spec.sino_shape())))
+
+
+@dataclass(frozen=True)
+class LipschitzConstants:
+    """The Lipschitz estimates of one problem, from one set of power
+    iterations; only the M^2/eps term of the regularizer bounds varies."""
+
+    l_z: float  # z-block Hessian norm of f
+    l_x: float  # x-block Hessian norm of f
+    l_f: float  # norm of the whole Hessian of f
+    image: Callable[[float], float]  # regularizer estimates as functions of eps
+    sino: Callable[[float], float]
+
+    def composite(self, eps: float) -> float:
+        """Lipschitz estimate of the full smoothed gradient at eps."""
+        return self.l_f + self.image(eps) + self.sino(eps)
+
+
+def lipschitz_constants(spec: ProblemSpec, seed: int = 0) -> LipschitzConstants:
+    """Run every Lipschitz power iteration of the problem once."""
+    return LipschitzConstants(*block_lipschitz(spec, seed=seed),
+                              *lipschitz_regularizers(spec, seed=seed))
 
 
 def composite_lipschitz(spec: ProblemSpec, eps: float, seed: int = 0) -> float:
     """Estimate of the Lipschitz constant of the full smoothed gradient."""
-    lr, lq = lipschitz_regularizers(spec, eps, seed=seed)
-    return lipschitz_data(spec, seed=seed) + lr + lq
+    return lipschitz_constants(spec, seed=seed).composite(eps)

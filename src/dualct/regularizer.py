@@ -170,22 +170,25 @@ def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
     return g[0]
 
 
-def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray) -> np.ndarray:
+def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
+                cache=None) -> np.ndarray:
     """Directional derivative of the extractor at ``y`` along ``tangent``.
 
     Returns an (n_sites, out_channels) array; used by the power iteration
-    in :func:`lipschitz_estimate`.
+    in :func:`lipschitz_estimate`. Pass the pre-activation cache from
+    feature_forward to skip the recompute.
     """
     y = np.asarray(y, dtype=float)
     v = np.asarray(tangent, dtype=float)
     if v.shape != y.shape:
         raise InputError("tangent shape must match the input field")
-    _, pre = feature_forward(y, stack, with_cache=True)
+    if cache is None:
+        _, cache = feature_forward(y, stack, with_cache=True)
     hv = v[None]
     for li, w in enumerate(stack.layers):
         hv = _conv_layer(hv, w)
         if li < stack.n_layers - 1:
-            hv = hv * smoothed_relu_deriv(pre[li], stack.activation_delta)
+            hv = hv * smoothed_relu_deriv(cache[li], stack.activation_delta)
     return hv.reshape(hv.shape[0], -1).T
 
 
@@ -201,56 +204,67 @@ def _huber_cotangent(values: np.ndarray, eps: float) -> np.ndarray:
     return values * scale[:, None]
 
 
-def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float) -> float:
+def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float,
+                   field: FeatureField | None = None) -> float:
     """Huber-smoothed l2,1 regularizer value.
 
     Sites with feature norm <= eps contribute quadratically, the rest
-    contribute their norm minus eps/2.
+    contribute their norm minus eps/2. Pass the extractor output at ``y``
+    as ``field`` to skip the forward pass.
     """
     if not eps > 0:
         raise ConfigError("smoothing eps must be positive")
-    norms = feature_forward(y, stack).site_norms()
+    norms = (field if field is not None else feature_forward(y, stack)).site_norms()
     inner = norms <= eps
     return float(np.sum(np.where(inner, norms**2 / (2.0 * eps), norms - 0.5 * eps)))
 
 
-def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float) -> np.ndarray:
-    """Gradient of :func:`smoothed_value` with respect to ``y``."""
+def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
+                  forward=None) -> np.ndarray:
+    """Gradient of :func:`smoothed_value` with respect to ``y``; ``forward``
+    is the (field, cache) pair of feature_forward at ``y``, if computed."""
     if not eps > 0:
         raise ConfigError("smoothing eps must be positive")
-    field, cache = feature_forward(y, stack, with_cache=True)
+    field, cache = forward if forward is not None else feature_forward(
+        y, stack, with_cache=True)
     cot = _huber_cotangent(field.values, eps)
     return feature_vjp(y, stack, cot, cache=cache)
 
 
-def lipschitz_estimate(stack: ConvStack, eps: float, probe_shape: tuple[int, int],
+def power_iteration(apply, v: np.ndarray, power_iters: int,
+                    norm=np.linalg.norm) -> float:
+    """Largest eigenvalue of the symmetric positive semidefinite operator
+    ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes)."""
+    v = v / norm(v)
+    lam = 0.0
+    for _ in range(power_iters):
+        w = apply(v)
+        lam = norm(w)
+        if lam == 0.0:
+            return 0.0
+        v = w / lam
+    return float(lam)
+
+
+def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int],
                        seed: int = 0, power_iters: int = 30,
-                       curvature: float | None = None) -> float:
-    """Estimate of the Lipschitz constant of the smoothed-regularizer gradient.
+                       curvature: float | None = None):
+    """Estimate of the Lipschitz constant of the smoothed-regularizer gradient,
+    as a function of the smoothing half-width eps.
 
     sqrt(m)*L_g + M^2/eps, where M is a power-iteration estimate of the
     spectral norm of the extractor's Jacobian at a random probe and L_g is
     a curvature constant for the extractor (0 for a single linear layer;
     otherwise max|a''| = 1/(2*delta) times the product of layer Frobenius
-    norms, overridable via ``curvature``).
+    norms, overridable via ``curvature``). Neither depends on eps, so the
+    power iteration runs once for every eps the returned function is given.
     """
-    if not eps > 0:
-        raise ConfigError("smoothing eps must be positive")
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(probe_shape)
-    v = rng.standard_normal(probe_shape)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(power_iters):
-        jv = feature_jvp(y, stack, v)
-        v = feature_vjp(y, stack, jv)
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            lam = 0.0
-            break
-        lam = nrm
-        v /= nrm
-    m_spec_sq = lam  # largest eigenvalue of J^T J
+    _, cache = feature_forward(y, stack, with_cache=True)
+    m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
+        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, cache=cache), cache=cache),
+        rng.standard_normal(probe_shape), power_iters)
     if curvature is None:
         if stack.n_layers == 1:
             curvature = 0.0
@@ -259,8 +273,13 @@ def lipschitz_estimate(stack: ConvStack, eps: float, probe_shape: tuple[int, int
             for w in stack.layers:
                 prod *= float(np.linalg.norm(w))
             curvature = prod / (2.0 * stack.activation_delta)
-    m_sites = probe_shape[0] * probe_shape[1]
-    return float(np.sqrt(m_sites) * curvature + m_spec_sq / eps)
+    curvature_term = np.sqrt(probe_shape[0] * probe_shape[1]) * curvature
+
+    def at(eps: float) -> float:
+        if not eps > 0:
+            raise ConfigError("smoothing eps must be positive")
+        return float(curvature_term + m_spec_sq / eps)
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, SolverError
-from .objective import (DualState, ProblemSpec, block_lipschitz,
-                        composite_lipschitz, grad_f_x, grad_f_z, grad_norm,
-                        grad_phi_eps, lipschitz_regularizers, phi_eps,
-                        _reg_grad)
-from .tomo import Image, Sinogram
+from .objective import (DualState, LipschitzConstants, Point, ProblemSpec,
+                        _reg_grad, evaluate, grad_norm, lipschitz_constants)
 
 BRANCH_EDC = "EDC"
 BRANCH_BCD = "BCD"
 
-CSV_COLUMNS = ("k", "eps", "phi_before", "phi_after", "grad_norm", "branch",
-               "backtracks", "alpha_used", "beta_used", "eps_reduced")
 
 
 @dataclass
@@ -61,6 +57,17 @@ class SolverParams:
     phases: int = 15
 
     def validate(self) -> None:
+        """Check types and ranges; float knobs are converted with float()."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type in ("int", "bool"):
+                if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, Integral):
+                    raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
+            elif v is not None or f.type == "float":
+                try:
+                    setattr(self, f.name, float(v))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{f.name} must be a number, got {v!r}") from None
         for name in ("alpha", "beta", "alpha_hat", "beta_hat"):
             v = getattr(self, name)
             if v is not None and not v > 0:
@@ -79,7 +86,7 @@ class SolverParams:
             raise ConfigError("gamma must lie in (0, 1)")
         if not self.sigma > 0:
             raise ConfigError("sigma must be positive")
-        if self.eps_tol < 0:
+        if not self.eps_tol >= 0:
             raise ConfigError("eps_tol must be nonnegative")
         if self.max_iters < 0 or self.max_backtracks < 1 or self.phases < 0:
             raise ConfigError("iteration counts out of range")
@@ -99,6 +106,9 @@ class IterateRecord:
     eps_reduced: bool
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(IterateRecord))
+
+
 @dataclass
 class IterateLog:
     records: list[IterateRecord] = field(default_factory=list)
@@ -115,36 +125,18 @@ class IterateLog:
     def n_eps_reductions(self) -> int:
         return sum(r.eps_reduced for r in self.records)
 
-    def to_rows(self) -> list[list]:
-        return [[r.k, repr(r.eps), repr(r.phi_before), repr(r.phi_after),
-                 repr(r.grad_norm), r.branch, r.backtracks,
-                 repr(r.alpha_used), repr(r.beta_used), int(r.eps_reduced)]
-                for r in self.records]
-
     def write_csv(self, path) -> None:
+        """One row per record; booleans are written as 0/1."""
         with open(str(path), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(self.to_rows())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "columns": list(CSV_COLUMNS),
-            "iterations": [
-                {
-                    "k": r.k, "eps": r.eps, "phi_before": r.phi_before,
-                    "phi_after": r.phi_after, "grad_norm": r.grad_norm,
-                    "branch": r.branch, "backtracks": r.backtracks,
-                    "alpha_used": r.alpha_used, "beta_used": r.beta_used,
-                    "eps_reduced": r.eps_reduced,
-                }
-                for r in self.records
-            ],
-        }
+            writer.writerows([int(v) if isinstance(v, bool) else v for v in astuple(r)]
+                             for r in self.records)
 
     def write_json(self, path) -> None:
         with open(str(path), "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=2)
+            json.dump({"columns": list(CSV_COLUMNS),
+                       "iterations": [asdict(r) for r in self.records]}, fh, indent=2)
             fh.write("\n")
 
 
@@ -156,18 +148,12 @@ class StepSizes:
     beta_hat: float
 
 
-def resolve_steps(spec: ProblemSpec, params: SolverParams, eps: float) -> StepSizes:
-    """Fill unspecified candidate steps from Lipschitz estimates at eps."""
-    need_data = params.alpha is None or params.beta is None
-    need_reg = params.alpha_hat is None or params.beta_hat is None
-    l_z = l_x = 0.0
-    if need_data or need_reg:
-        l_z, l_x = block_lipschitz(spec)
-    lr = lq = 0.0
-    if need_reg:
-        lr, lq = lipschitz_regularizers(spec, eps)
-    alpha = params.alpha if params.alpha is not None else 1.0 / max(l_z, 1e-12)
-    beta = params.beta if params.beta is not None else 1.0 / max(l_x, 1e-12)
+def resolve_steps(lip: LipschitzConstants, params: SolverParams,
+                  eps: float) -> StepSizes:
+    """Fill unspecified candidate steps from the Lipschitz estimates at eps."""
+    lr, lq = lip.image(eps), lip.sino(eps)
+    alpha = params.alpha if params.alpha is not None else 1.0 / max(lip.l_z, 1e-12)
+    beta = params.beta if params.beta is not None else 1.0 / max(lip.l_x, 1e-12)
 
     def collapsed(step, l_reg):
         # proximal-collapsed step a*p/(a+p) with p = 0.5/L_reg; always < step
@@ -184,74 +170,50 @@ def resolve_steps(spec: ProblemSpec, params: SolverParams, eps: float) -> StepSi
     )
 
 
-def _as_state(spec: ProblemSpec, x_vals: np.ndarray, z_vals: np.ndarray) -> DualState:
-    geo = spec.geometry
-    return DualState(Image(geo.grid, x_vals),
-                     Sinogram(geo, np.arange(geo.n_views_full), z_vals))
-
-
-def candidate_step(state: DualState, spec: ProblemSpec, steps: StepSizes,
-                   eps: float) -> DualState:
+def candidate_step(point: Point, steps: StepSizes, eps: float) -> Point:
     """Residual two-block candidate: z-block first, x-block sees the new z."""
-    b = state.z.values - steps.alpha * grad_f_z(state, spec)
-    u_z = b - steps.alpha_hat * _reg_grad(b, spec.sino_weights, eps)
-    mid = _as_state(spec, state.x.values, u_z)
-    c = state.x.values - steps.beta * grad_f_x(mid, spec)
-    u_x = c - steps.beta_hat * _reg_grad(c, spec.image_weights, eps)
-    if not (np.all(np.isfinite(u_x)) and np.all(np.isfinite(u_z))):
-        raise NumericalError("non-finite candidate step")
-    return _as_state(spec, u_x, u_z)
+    b = point.z - steps.alpha * point.grad_f[1]
+    u_z = b - steps.alpha_hat * _reg_grad(b, point.spec.sino_weights, eps)
+    c = point.x - steps.beta * point.grad_f_x(u_z)
+    u_x = c - steps.beta_hat * _reg_grad(c, point.spec.image_weights, eps)
+    return Point(point.spec, u_x, u_z)
 
 
-def edc_check(state: DualState, candidate: DualState, spec: ProblemSpec,
-              params: SolverParams, eps: float,
-              phi_old: float | None = None) -> bool:
+def edc_check(point: Point, candidate: Point, params: SolverParams,
+              eps: float) -> bool:
     """Energy descent conditions on the candidate pair.
 
     Sufficient decrease proportional to the squared step, plus a bound on
     the gradient norm at the old iterate by the step lengths.
     """
-    if phi_old is None:
-        phi_old = phi_eps(state, spec, eps)
-    dx = candidate.x.values - state.x.values
-    dz = candidate.z.values - state.z.values
-    sq = float(np.sum(dx**2) + np.sum(dz**2))
-    phi_new = phi_eps(candidate, spec, eps)
-    if phi_new - phi_old > -params.eta * sq:
+    sq_x = float(np.sum((candidate.x - point.x)**2))
+    sq_z = float(np.sum((candidate.z - point.z)**2))
+    if candidate.phi(eps) - point.phi(eps) > -params.eta * (sq_x + sq_z):
         return False
-    gnorm = grad_norm(*grad_phi_eps(state, spec, eps))
-    step_len = float(np.sqrt(np.sum(dx**2)) + np.sqrt(np.sum(dz**2)))
-    return gnorm <= step_len / params.eta
+    return grad_norm(*point.grad(eps)) <= (np.sqrt(sq_x) + np.sqrt(sq_z)) / params.eta
 
 
-def bcd_safeguard(state: DualState, spec: ProblemSpec, params: SolverParams,
-                  eps: float, phi_old: float | None = None,
-                  log: "IterateLog | None" = None):
+def bcd_safeguard(point: Point, params: SolverParams, eps: float):
     """Backtracked block-coordinate-descent fallback.
 
-    Returns (new_state, backtracks, bar_alpha, bar_beta) with the accepted
-    step sizes; raises SolverError when max_backtracks is exceeded.
+    Returns (new point, backtracks, bar_alpha, bar_beta) with the accepted
+    step sizes; raises NumericalError when max_backtracks is exceeded or a
+    trial point is not finite.
     """
-    if phi_old is None:
-        phi_old = phi_eps(state, spec, eps)
     bar_a, bar_b = params.bar_alpha0, params.bar_beta0
-    gz = grad_f_z(state, spec) + _reg_grad(state.z.values, spec.sino_weights, eps)
+    gz = point.grad(eps)[1]
+    reg_gx = point.reg_grads(eps)[0]
     for bt in range(params.max_backtracks + 1):
-        v_z = state.z.values - bar_a * gz
-        mid = _as_state(spec, state.x.values, v_z)
-        gx = grad_f_x(mid, spec) + _reg_grad(state.x.values, spec.image_weights, eps)
-        v_x = state.x.values - bar_b * gx
-        cand = _as_state(spec, v_x, v_z)
-        dx = v_x - state.x.values
-        dz = v_z - state.z.values
-        sq = float(np.sum(dx**2) + np.sum(dz**2))
-        if phi_eps(cand, spec, eps) - phi_old <= -params.delta * sq:
-            return cand, bt, bar_a, bar_b
+        v_z = point.z - bar_a * gz
+        v_x = point.x - bar_b * (point.grad_f_x(v_z) + reg_gx)
+        trial = Point(point.spec, v_x, v_z)
+        sq = float(np.sum((v_x - point.x)**2) + np.sum((v_z - point.z)**2))
+        if trial.phi(eps) - point.phi(eps) <= -params.delta * sq:
+            return trial, bt, bar_a, bar_b
         bar_a *= params.rho
         bar_b *= params.rho
-    raise SolverError(
-        f"safeguard failed to descend within {params.max_backtracks} backtracks",
-        log=log)
+    raise NumericalError(
+        f"safeguard failed to descend within {params.max_backtracks} backtracks")
 
 
 def smoothing_update(eps: float, gnorm_new: float, params: SolverParams) -> float:
@@ -272,11 +234,11 @@ def backtrack_bound(params: SolverParams, l_hat: float) -> int:
     return int(math.ceil(math.log(ratio) / math.log(params.rho))) + 1
 
 
-def _check_backtrack_budget(spec: ProblemSpec, params: SolverParams) -> None:
+def _check_backtrack_budget(lip: LipschitzConstants, params: SolverParams) -> None:
     """Configure-time guard: the shrink budget must reach an acceptable step
     at the smallest smoothing level the schedule can visit."""
     eps_min = params.eps_tol if params.eps_tol > 0 else params.eps0 * params.gamma**20
-    l_hat = composite_lipschitz(spec, eps_min)
+    l_hat = lip.composite(eps_min)
     smallest = params.rho**params.max_backtracks * max(params.bar_alpha0, params.bar_beta0)
     if smallest >= 1.0 / (params.delta + 0.5 * l_hat):
         raise ConfigError(
@@ -286,42 +248,43 @@ def _check_backtrack_budget(spec: ProblemSpec, params: SolverParams) -> None:
 
 def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     """Iterate until max_iters, or until eps <= eps_tol with a gradient norm
-    below the reduction threshold. Returns (final state, IterateLog)."""
+    below the reduction threshold. Returns (final state, IterateLog); a step
+    that fails numerically raises SolverError carrying the log so far."""
     params.validate()
-    _check_backtrack_budget(spec, params)
+    point = evaluate(init, spec)
+    lip = lipschitz_constants(spec)
+    _check_backtrack_budget(lip, params)
     log = IterateLog()
-    state = init.copy()
     eps = params.eps0
-    steps = resolve_steps(spec, params, eps)
+    steps = resolve_steps(lip, params, eps)
     n_iters = params.phases if params.phase_mode else params.max_iters
+    # Every iteration needs the gradient at its start point (EDC bound or
+    # safeguard z-step); later start points keep it from the smoothing update.
+    point.grad(eps)
 
     for k in range(n_iters):
-        phi_old = phi_eps(state, spec, eps)
         try:
-            cand = candidate_step(state, spec, steps, eps)
+            cand = candidate_step(point, steps, eps)
+            if edc_check(point, cand, params, eps):
+                new, backtracks, a_used, b_used = cand, 0, steps.alpha, steps.beta
+                branch = BRANCH_EDC
+            else:
+                new, backtracks, a_used, b_used = bcd_safeguard(point, params, eps)
+                branch = BRANCH_BCD
         except NumericalError as exc:
             raise SolverError(f"iteration {k}: {exc}", log=log) from exc
-        if edc_check(state, cand, spec, params, eps, phi_old=phi_old):
-            new_state = cand
-            branch, backtracks = BRANCH_EDC, 0
-            a_used, b_used = steps.alpha, steps.beta
-        else:
-            new_state, backtracks, a_used, b_used = bcd_safeguard(
-                state, spec, params, eps, phi_old=phi_old, log=log)
-            branch = BRANCH_BCD
-        phi_new = phi_eps(new_state, spec, eps)
-        gnorm = grad_norm(*grad_phi_eps(new_state, spec, eps))
+        gnorm = grad_norm(*new.grad(eps))
         eps_next = smoothing_update(eps, gnorm, params)
         log.append(IterateRecord(
-            k=k, eps=eps, phi_before=phi_old, phi_after=phi_new,
+            k=k, eps=eps, phi_before=point.phi(eps), phi_after=new.phi(eps),
             grad_norm=gnorm, branch=branch, backtracks=backtracks,
             alpha_used=a_used, beta_used=b_used,
             eps_reduced=eps_next != eps))
-        state = new_state
+        point = new
         if (not params.phase_mode and eps <= params.eps_tol
                 and gnorm < params.sigma * params.gamma * eps):
             break
         if eps_next != eps:
             eps = eps_next
-            steps = resolve_steps(spec, params, eps)
-    return state, log
+            steps = resolve_steps(lip, params, eps)
+    return point.state(), log

@@ -153,9 +153,6 @@ class Image:
         if not np.all(np.isfinite(self.values)):
             raise InputError("image contains non-finite values")
 
-    def copy(self) -> "Image":
-        return Image(self.grid, self.values.copy())
-
 
 @dataclass
 class Sinogram:

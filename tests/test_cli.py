@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualct import io
-from dualct.cli import EXIT_CONFIG, EXIT_IO, main
+from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, main
 
 
 def write_config(tmp_path, **overrides):
@@ -125,6 +125,24 @@ class TestExitCodes:
     def test_unknown_solver_knob(self, tmp_path):
         cfg = write_config(tmp_path, solver={"bogus": 1})
         assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("solver", [{"max_iters": 5.5}, {"max_iters": True},
+                                        {"eps_tol": "tiny"}])
+    def test_mistyped_solver_knob(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path, solver=solver)
+        assert main(["reconstruct", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_safeguard_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solver={
+            "max_iters": 5, "eta": 1e10, "bar_alpha0": 1e300,
+            "bar_beta0": 1e300, "max_backtracks": 2000})
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["reconstruct", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "non-finite" in capsys.readouterr().err
+        assert (tmp_path / "out" / "iterations.csv").exists()
 
 
 class TestMetricsOutput:

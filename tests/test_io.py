@@ -138,6 +138,20 @@ class TestConfig:
         assert phased.phase_mode and phased.phases == 5
         assert isinstance(io.solver_params_from_config(None), SolverParams)
 
+    def test_solver_params_typed(self, tmp_path):
+        # YAML 1.1 reads 1e-3 (no dot) as a string
+        path = tmp_path / "c.yaml"
+        path.write_text("solver: {eps_tol: 1e-3, bar_alpha0: 2}\n")
+        params = io.solver_params_from_config(io.load_config(path)["solver"])
+        assert params.eps_tol == 1e-3 and params.bar_alpha0 == 2.0
+        for bad in ({"max_iters": 5.5}, {"max_iters": True}, {"max_iters": "10"},
+                    {"eps_tol": "small"}, {"rho": None}, {"phase_mode": 1}):
+            with pytest.raises(ConfigError):
+                io.solver_params_from_config(bad)
+        for phases in (2.5, "3", False):
+            with pytest.raises(ConfigError):
+                io.solver_params_from_config(None, {"type": "phases", "phases": phases})
+
     def test_load_config_validation(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("- just\n- a\n- list\n")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dualct.errors import ConfigError
-from dualct.objective import (DualState, ProblemSpec, block_lipschitz,
-                              composite_lipschitz, data_term, grad_f_x,
-                              grad_f_z, grad_norm, grad_phi_eps,
-                              lipschitz_data, phi_eps, phi_unsmoothed)
+from dualct.errors import ConfigError, NumericalError
+from dualct.objective import (DualState, Point, ProblemSpec, block_lipschitz,
+                              composite_lipschitz, evaluate, grad_norm,
+                              grad_phi_eps, lipschitz_constants, phi_eps,
+                              phi_unsmoothed)
 from dualct.regularizer import make_tv_weights
 from dualct.tomo import (GridSpec, Image, Sinogram, forward_project,
                          parallel_geometry, subsample_views, system_matrix,
@@ -24,6 +24,10 @@ def _make_problem(rng, with_regs=True, lam=3.0):
     state = DualState(Image(grid, rng.standard_normal(grid.shape)),
                       Sinogram(geo, np.arange(8), rng.standard_normal((8, 7))))
     return spec, state
+
+
+def data_term(state, spec):
+    return evaluate(state, spec).f
 
 
 class TestDataTerm:
@@ -61,8 +65,7 @@ class TestDataTerm:
 class TestGradients:
     def test_grad_f_matches_finite_differences(self, rng):
         spec, state = _make_problem(rng, with_regs=False)
-        gx = grad_f_x(state, spec)
-        gz = grad_f_z(state, spec)
+        gx, gz = evaluate(state, spec).grad_f
         h = 1e-6
         for _ in range(15):
             vx = rng.standard_normal(gx.shape)
@@ -116,14 +119,14 @@ class TestSmoothingGap:
 class TestLipschitz:
     def test_z_block_exact(self, rng):
         spec, _ = _make_problem(rng, lam=7.0)
-        l_z, _ = block_lipschitz(spec)
+        l_z, _, _ = block_lipschitz(spec)
         assert l_z == 1.0 + 7.0
 
     def test_x_block_matches_dense(self, rng):
         spec, _ = _make_problem(rng)
         a = system_matrix(spec.geometry).toarray()
         expected = np.linalg.norm(a, 2) ** 2
-        _, l_x = block_lipschitz(spec, power_iters=200)
+        _, l_x, _ = block_lipschitz(spec, power_iters=200)
         assert l_x == pytest.approx(expected, rel=1e-6)
 
     def test_full_hessian_matches_dense(self, rng):
@@ -141,8 +144,58 @@ class TestLipschitz:
             [-a, np.eye(n_z) + spec.lam * np.diag(diag)],
         ])
         expected = np.linalg.norm(hess, 2)
-        assert lipschitz_data(spec, power_iters=300) == pytest.approx(expected, rel=1e-6)
+        _, _, l_f = block_lipschitz(spec, power_iters=300)
+        assert l_f == pytest.approx(expected, rel=1e-6)
 
     def test_composite_exceeds_data(self, rng):
         spec, _ = _make_problem(rng, with_regs=True)
-        assert composite_lipschitz(spec, 0.1) > lipschitz_data(spec)
+        assert composite_lipschitz(spec, 0.1) > block_lipschitz(spec)[2]
+
+    def test_constants_are_eps_free(self, rng):
+        # one set of power iterations serves every smoothing level
+        spec, _ = _make_problem(rng, with_regs=True)
+        lip = lipschitz_constants(spec)
+        for eps in (0.1, 0.05, 1e-3):
+            assert lip.composite(eps) == composite_lipschitz(spec, eps)
+        lr1, lq1 = lip.image(0.1), lip.sino(0.1)
+        lr2, lq2 = lip.image(0.05), lip.sino(0.05)
+        # single linear layers: no curvature term, so exactly 1/eps
+        assert (lr2, lq2) == pytest.approx((2.0 * lr1, 2.0 * lq1), rel=1e-12)
+
+    def test_absent_regularizers_have_zero_bound(self, rng):
+        spec, _ = _make_problem(rng, with_regs=False)
+        lip = lipschitz_constants(spec)
+        assert (lip.image(0.1), lip.sino(0.1)) == (0.0, 0.0)
+
+
+class TestPoint:
+    def test_values_kept_per_eps(self, rng):
+        # after an eps change a point gives what a fresh point gives
+        spec, state = _make_problem(rng, with_regs=True)
+        point = evaluate(state, spec)
+        for eps in (0.1, 0.05, 0.1):
+            fresh = evaluate(state, spec)
+            assert point.phi(eps) == fresh.phi(eps)
+            for got, want in zip(point.grad(eps), fresh.grad(eps)):
+                np.testing.assert_array_equal(got, want)
+        assert point.phi(0.1) != point.phi(0.05)
+
+    def test_grad_f_x_at_other_z(self, rng):
+        spec, state = _make_problem(rng, with_regs=False)
+        point = evaluate(state, spec)
+        z2 = rng.standard_normal(state.z.values.shape)
+        other = DualState(state.x, Sinogram(spec.geometry, np.arange(8), z2))
+        np.testing.assert_array_equal(point.grad_f_x(z2), evaluate(other, spec).grad_f[0])
+
+    def test_non_finite_rejected(self, rng):
+        spec, state = _make_problem(rng)
+        bad = state.z.values.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(NumericalError):
+            Point(spec, state.x.values, bad)
+
+    def test_state_mismatch_rejected(self, rng):
+        spec, state = _make_problem(rng)
+        other_grid = Image(GridSpec(5, 5, 1.0), np.zeros((5, 5)))
+        with pytest.raises(ConfigError):
+            evaluate(DualState(other_grid, state.z), spec)

@@ -91,6 +91,20 @@ class TestFeatureExtractor:
             rhs = np.sum(v * jtu)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_cached_passes_match_recomputed(self, rng):
+        stack = make_random_weights(4, n_layers=3, n_channels=3)
+        y = rng.standard_normal((7, 9))
+        v = rng.standard_normal(y.shape)
+        eps = 0.05
+        field, cache = feature_forward(y, stack, with_cache=True)
+        np.testing.assert_array_equal(feature_jvp(y, stack, v, cache=cache),
+                                      feature_jvp(y, stack, v))
+        assert (smoothed_value(y, stack, eps, field=field)
+                == smoothed_value(y, stack, eps))
+        np.testing.assert_array_equal(
+            smoothed_grad(y, stack, eps, forward=(field, cache)),
+            smoothed_grad(y, stack, eps))
+
     def test_jvp_matches_finite_differences(self, rng):
         stack = make_random_weights(5, n_layers=2, n_channels=3)
         y = rng.standard_normal((8, 8))
@@ -152,22 +166,28 @@ class TestLipschitzEstimate:
         # from below as the grid grows), so the estimate is M^2/eps with
         # M^2 in (4, 8].
         eps = 0.1
-        est = lipschitz_estimate(make_tv_weights(), eps, (32, 32))
+        est = lipschitz_estimate(make_tv_weights(), (32, 32))(eps)
         assert 4.0 / eps < est <= 8.0 / eps + 1e-9
 
     def test_scaling_with_eps(self):
         # single linear layer: no curvature term, so the estimate is
         # exactly proportional to 1/eps
         stack = make_tv_weights()
-        e1 = lipschitz_estimate(stack, 0.1, (16, 16))
-        e2 = lipschitz_estimate(stack, 0.05, (16, 16))
+        bound = lipschitz_estimate(stack, (16, 16))
+        e1 = bound(0.1)
+        e2 = bound(0.05)
         assert e2 == pytest.approx(2.0 * e1, rel=1e-10)
+
+    def test_nonpositive_eps_rejected(self):
+        bound = lipschitz_estimate(make_tv_weights(), (8, 8))
+        with pytest.raises(ConfigError):
+            bound(0.0)
 
     def test_gradient_actually_lipschitz(self, rng):
         # empirical check: |grad(y1) - grad(y2)| <= L |y1 - y2|
         stack = make_random_weights(2, n_layers=2, n_channels=4)
         eps = 0.1
-        lip = lipschitz_estimate(stack, eps, (8, 8))
+        lip = lipschitz_estimate(stack, (8, 8))(eps)
         for _ in range(20):
             y1 = rng.standard_normal((8, 8))
             y2 = y1 + 1e-3 * rng.standard_normal((8, 8))

@@ -1,12 +1,16 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from dualct.errors import ConfigError
-from dualct.objective import DualState, ProblemSpec, phi_eps
-from dualct.regularizer import make_tv_weights
+from dualct import objective, regularizer, solver
+from dualct.errors import ConfigError, SolverError
+from dualct.objective import (DualState, ProblemSpec, evaluate,
+                              lipschitz_constants, phi_eps)
+from dualct.regularizer import make_random_weights, make_tv_weights
+from dualct.simdata import PhantomSpec, make_phantom
 from dualct.solver import (BRANCH_BCD, BRANCH_EDC, CSV_COLUMNS, IterateLog,
                            IterateRecord, SolverParams, backtrack_bound,
                            bcd_safeguard, candidate_step, edc_check,
@@ -34,7 +38,10 @@ class TestParams:
     @pytest.mark.parametrize("field,value", [
         ("rho", 1.0), ("rho", 0.0), ("delta", 0.0), ("eta", 0.0),
         ("gamma", 1.5), ("sigma", -1.0), ("eps0", 0.0), ("eps_tol", -1.0),
-        ("alpha", -0.1), ("max_backtracks", 0),
+        ("alpha", -0.1), ("max_backtracks", 0), ("eps_tol", float("nan")),
+        ("eps0", "abc"), ("alpha", [0.1]), ("max_iters", 5.5),
+        ("max_iters", True), ("max_backtracks", "60"), ("phases", None),
+        ("phase_mode", "yes"),
     ])
     def test_invalid_rejected(self, field, value):
         params = SolverParams()
@@ -45,18 +52,25 @@ class TestParams:
     def test_defaults_valid(self):
         SolverParams().validate()
 
+    def test_float_fields_converted(self):
+        params = SolverParams(eps_tol="1e-3", bar_alpha0=2, alpha=np.float64(0.5))
+        params.validate()
+        assert params.eps_tol == 1e-3 and type(params.eps_tol) is float
+        assert params.bar_alpha0 == 2.0 and type(params.bar_alpha0) is float
+        assert type(params.alpha) is float
+
 
 class TestSteps:
     def test_collapsed_regularizer_steps_smaller(self, rng):
         spec, _, _ = _problem(rng)
-        steps = resolve_steps(spec, SolverParams(), eps=0.1)
+        steps = resolve_steps(lipschitz_constants(spec), SolverParams(), eps=0.1)
         assert 0 < steps.alpha_hat < steps.alpha
         assert 0 < steps.beta_hat < steps.beta
 
     def test_explicit_steps_respected(self, rng):
         spec, _, _ = _problem(rng)
         params = SolverParams(alpha=0.3, beta=0.2, alpha_hat=0.1, beta_hat=0.05)
-        steps = resolve_steps(spec, params, eps=0.1)
+        steps = resolve_steps(lipschitz_constants(spec), params, eps=0.1)
         assert (steps.alpha, steps.beta, steps.alpha_hat, steps.beta_hat) \
             == (0.3, 0.2, 0.1, 0.05)
 
@@ -65,30 +79,32 @@ class TestStepMechanics:
     def test_candidate_decreases_smoothed_objective(self, rng):
         spec, init, _ = _problem(rng)
         eps = 0.1
-        steps = resolve_steps(spec, SolverParams(), eps)
-        cand = candidate_step(init, spec, steps, eps)
-        assert phi_eps(cand, spec, eps) < phi_eps(init, spec, eps)
+        steps = resolve_steps(lipschitz_constants(spec), SolverParams(), eps)
+        cand = candidate_step(evaluate(init, spec), steps, eps)
+        assert phi_eps(cand.state(), spec, eps) < phi_eps(init, spec, eps)
 
     def test_edc_rejects_non_descending_candidate(self, rng):
         spec, init, _ = _problem(rng)
         eps = 0.1
         bad = DualState(Image(spec.geometry.grid, init.x.values + 100.0),
                         init.z.copy())
-        assert not edc_check(init, bad, spec, SolverParams(), eps)
+        assert not edc_check(evaluate(init, spec), evaluate(bad, spec),
+                             SolverParams(), eps)
 
     def test_edc_accepts_lipschitz_candidate(self, rng):
         spec, init, _ = _problem(rng)
         eps = 0.1
-        steps = resolve_steps(spec, SolverParams(), eps)
-        cand = candidate_step(init, spec, steps, eps)
-        assert edc_check(init, cand, spec, SolverParams(), eps)
+        steps = resolve_steps(lipschitz_constants(spec), SolverParams(), eps)
+        point = evaluate(init, spec)
+        cand = candidate_step(point, steps, eps)
+        assert edc_check(point, cand, SolverParams(), eps)
 
     def test_bcd_safeguard_descends(self, rng):
         spec, init, _ = _problem(rng)
         eps = 0.1
         params = SolverParams()
-        cand, bt, bar_a, bar_b = bcd_safeguard(init, spec, params, eps)
-        assert phi_eps(cand, spec, eps) < phi_eps(init, spec, eps)
+        cand, bt, bar_a, bar_b = bcd_safeguard(evaluate(init, spec), params, eps)
+        assert phi_eps(cand.state(), spec, eps) < phi_eps(init, spec, eps)
         assert bar_a == params.bar_alpha0 * params.rho**bt
         assert bar_b == params.bar_beta0 * params.rho**bt
 
@@ -152,6 +168,27 @@ class TestRun:
         np.testing.assert_array_equal(f1.z.values, f2.z.values)
         assert [r.phi_after for r in l1.records] == [r.phi_after for r in l2.records]
 
+    def test_non_finite_safeguard_trial_raises_solver_error(self, rng):
+        # eta this large rejects every candidate, and the first safeguard
+        # trial step overflows
+        spec, init, _ = _problem(rng)
+        params = SolverParams(eta=1e10, bar_alpha0=1e300, bar_beta0=1e300,
+                              max_backtracks=2000, max_iters=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverError, match="non-finite") as info:
+            run(spec, init, params)
+        assert info.value.log is not None and len(info.value.log) == 0
+
+    def test_safeguard_exhaustion_raises_solver_error(self, rng, monkeypatch):
+        spec, init, _ = _problem(rng)
+        params = SolverParams(eta=1e10, bar_alpha0=1e6, bar_beta0=1e6,
+                              max_backtracks=5, max_iters=5)
+        # the configure-time budget check would refuse this budget
+        monkeypatch.setattr(solver, "_check_backtrack_budget", lambda lip, p: None)
+        with pytest.raises(SolverError, match="backtracks") as info:
+            run(spec, init, params)
+        assert info.value.log is not None
+
     def test_least_squares_reaches_optimum(self, rng):
         # no regularizers: the objective is an unconstrained linear
         # least-squares problem whose solution we can form directly
@@ -183,6 +220,71 @@ class TestRun:
         got = np.concatenate([final.x.values.ravel(), final.z.values.ravel()])
         rel = np.linalg.norm(got - opt) / np.linalg.norm(opt)
         assert rel < 1e-6
+
+
+class _CountingMatrix:
+    """Sparse-matrix proxy that counts A @ v and A.T @ v."""
+
+    def __init__(self, mat, counts, key="A", t_key="AT"):
+        self._mat, self._counts, self._key, self._t_key = mat, counts, key, t_key
+
+    def __matmul__(self, other):
+        self._counts[self._key] += 1
+        return self._mat @ other
+
+    @property
+    def T(self):
+        return _CountingMatrix(self._mat.T, self._counts, self._t_key, self._key)
+
+    def __getattr__(self, attr):
+        return getattr(self._mat, attr)
+
+
+class TestOperatorCounts:
+    def test_projector_applications_per_iteration(self, monkeypatch):
+        counts = {"A": 0, "AT": 0}
+        monkeypatch.setattr(objective, "system_matrix",
+                            lambda geo: _CountingMatrix(system_matrix(geo), counts))
+        marks = []
+        step = solver.candidate_step
+
+        def marked_step(*args):
+            marks.append((counts["A"], counts["AT"]))
+            return step(*args)
+
+        monkeypatch.setattr(solver, "candidate_step", marked_step)
+        spec, init, params = _pinned_problem("tv")
+        _, log = run(spec, init, params)
+        marks.append((counts["A"], counts["AT"]))
+        per_iter = [(a1 - a0, t1 - t0) for (a0, t0), (a1, t1) in zip(marks, marks[1:])]
+        assert len(per_iter) == len(log)
+        branches = {rec.branch for rec in log.records}
+        assert branches == {BRANCH_EDC, BRANCH_BCD}
+        for rec, got in zip(log.records, per_iter):
+            if rec.branch == BRANCH_EDC:
+                assert got == (1, 2), rec.k
+            else:
+                # candidate (1 A, 1 A^T), one A and A^T per safeguard trial,
+                # and A^T for the gradient at the accepted point
+                assert got == (2 + rec.backtracks, 3 + rec.backtracks), rec.k
+
+    def test_jacobian_power_iteration_once_per_domain(self, monkeypatch):
+        calls = {"estimate": 0, "jvp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(regularizer, "lipschitz_estimate",
+                            counted("estimate", regularizer.lipschitz_estimate))
+        monkeypatch.setattr(regularizer, "feature_jvp",
+                            counted("jvp", regularizer.feature_jvp))
+        spec, init, params = _pinned_problem("random")
+        _, log = run(spec, init, params)
+        assert log.n_eps_reductions() >= 2
+        assert calls == {"estimate": 2, "jvp": 2 * 30}
 
 
 def _scatter(spec):
@@ -226,3 +328,57 @@ class TestLog:
         assert log.max_backtracks() == 3
         assert log.n_eps_reductions() == 1
         assert len(log) == 2
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pinned_problem(kind):
+    grid = GridSpec(16, 16, 2.0 / 16)
+    geo = parallel_geometry(30, 25, grid)
+    mask = uniform_mask(30, 10)
+    truth = make_phantom(PhantomSpec("shepp-logan-modified", grid))
+    s = subsample_views(forward_project(truth, geo), mask)
+    if kind == "tv":
+        image_w = sino_w = make_tv_weights(scale=0.02)
+        params = SolverParams(max_iters=400)
+    else:
+        image_w = make_random_weights(1, n_layers=2, n_channels=4, kernel=(3, 3))
+        sino_w = make_random_weights(2, n_layers=2, n_channels=4, kernel=(3, 5))
+        params = SolverParams(max_iters=30)
+    spec = ProblemSpec(geo, mask, s, lam=10.0,
+                       image_weights=image_w, sino_weights=sino_w)
+    init = DualState(Image(grid, np.zeros(grid.shape)),
+                     Sinogram(geo, np.arange(30), np.zeros((30, 25))))
+    return spec, init, params
+
+
+class TestPinnedOutputs:
+    """Byte-level pins of two small solves.
+
+    A change that only reorganizes the solver or the objective must keep
+    these hashes; a change that alters the arithmetic updates them and says
+    so. The TV run takes both branches and reaches eps_tol (263 iterations,
+    128 BCD, 11 eps reductions); the random-stack run re-derives its
+    regularizer steps after 3 eps reductions.
+    """
+
+    PINS = {
+        "tv": ("978d9cda148bd3f5ea3b4a500c480d58761680bea8dff37ceb37b60fa0c2d81c",
+               "af75b45780fa27f611882122050a78b94b595d3988088f4218ba155fed82548e",
+               "8692e95931cbc33452a0b789660d5d3e581bcbc1e4f1c08a7a2db81fbf5fdadb"),
+        "random": ("f0159efaf8223dc95b500ed0ccfb493d99c3f0f8019d04553ebbf3b70673342c",
+                   "1a91b4e82d5fd33f587cccecf321bba4df4b13601cfed5d4d549fefe226cae0e",
+                   "76db62c44fcddbec3f246d9dde84fd5a408d772f46e97400abdf7ef8ee318bd3"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINS))
+    def test_outputs_byte_identical(self, kind, tmp_path):
+        spec, init, params = _pinned_problem(kind)
+        final, log = run(spec, init, params)
+        log.write_json(tmp_path / "iterations.json")
+        got = (_sha256(np.ascontiguousarray(final.x.values, dtype="<f8").tobytes()),
+               _sha256(np.ascontiguousarray(final.z.values, dtype="<f8").tobytes()),
+               _sha256((tmp_path / "iterations.json").read_bytes()))
+        assert got == self.PINS[kind]
