@@ -40,7 +40,7 @@ class _Setup:
         regs = self.cfg.get("regularizers", {})
         self.image_weights = io.weights_from_config(regs.get("image"), "image")
         self.sino_weights = io.weights_from_config(regs.get("sinogram"), "sinogram")
-        self.lam = float(self.cfg.get("lambda", 10.0))
+        self.lam = io.config_float(self.cfg.get("lambda", 10.0), "lambda")
         self.params = io.solver_params_from_config(self.cfg.get("solver"),
                                                    self.cfg.get("mode"))
         self.out_dir = Path(self.cfg.get("output", "."))

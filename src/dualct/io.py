@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -107,46 +108,69 @@ def config_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def config_float(value, key: str) -> float:
+    """A config number as a float; strings such as ``1e5``, which YAML 1.1
+    loads as strings, convert too."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def config_int(value, key: str) -> int:
+    """A config integer; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def grid_from_config(cfg: dict) -> GridSpec:
     try:
-        origin = tuple(cfg.get("origin", (0.0, 0.0)))
-        return GridSpec(int(cfg["nx"]), int(cfg["ny"]),
-                        float(cfg.get("pixel_size", 1.0)), origin)
+        nx, ny = config_int(cfg["nx"], "grid.nx"), config_int(cfg["ny"], "grid.ny")
     except KeyError as exc:
         raise ConfigError(f"grid config missing key {exc}") from exc
+    origin = cfg.get("origin", (0.0, 0.0))
+    if not isinstance(origin, (list, tuple)) or len(origin) != 2:
+        raise ConfigError(f"grid.origin must be a pair of numbers, got {origin!r}")
+    return GridSpec(nx, ny, config_float(cfg.get("pixel_size", 1.0), "grid.pixel_size"),
+                    tuple(config_float(v, "grid.origin") for v in origin))
 
 
 def geometry_from_config(cfg: dict) -> ScanGeometry:
     try:
         grid = grid_from_config(cfg["grid"])
         kind = cfg.get("kind", "parallel")
-        n_views = int(cfg["n_views"])
-        n_dets = int(cfg["n_dets"])
+        n_views = config_int(cfg["n_views"], "geometry.n_views")
+        n_dets = config_int(cfg["n_dets"], "geometry.n_dets")
     except KeyError as exc:
         raise ConfigError(f"geometry config missing key {exc}") from exc
-    spacing = cfg.get("det_spacing")
-    spacing = float(spacing) if spacing is not None else None
+
+    def optional_float(key):
+        value = cfg.get(key)
+        return None if value is None else config_float(value, f"geometry.{key}")
+
+    spacing = optional_float("det_spacing")
     if kind == "parallel":
         return parallel_geometry(n_views, n_dets, grid, det_spacing=spacing)
     if kind in ("fan", "fan-beam-equiangular"):
-        sr = cfg.get("source_radius")
-        sd = cfg.get("source_to_detector")
         return fan_geometry(n_views, n_dets, grid, det_spacing=spacing,
-                            source_radius=float(sr) if sr is not None else None,
-                            source_to_detector=float(sd) if sd is not None else None)
+                            source_radius=optional_float("source_radius"),
+                            source_to_detector=optional_float("source_to_detector"))
     raise ConfigError(f"unknown geometry kind {kind!r}")
 
 
 def mask_from_config(cfg: dict, n_views_full: int) -> ViewMask:
     if "selected" in cfg:
-        return ViewMask(n_views_full, tuple(int(i) for i in cfg["selected"]))
+        selected = tuple(config_int(i, "mask.selected") for i in cfg["selected"])
+        return ViewMask(n_views_full, selected)
     if "n_keep" in cfg:
-        return uniform_mask(n_views_full, int(cfg["n_keep"]))
+        return uniform_mask(n_views_full, config_int(cfg["n_keep"], "mask.n_keep"))
     raise ConfigError("mask config needs 'n_keep' or 'selected'")
 
 
 def phantom_from_config(cfg: dict, grid: GridSpec) -> PhantomSpec:
-    ellipses = tuple(tuple(float(v) for v in e) for e in cfg.get("ellipses", ()))
+    ellipses = tuple(tuple(config_float(v, "phantom.ellipses") for v in e)
+                     for e in cfg.get("ellipses", ()))
     return PhantomSpec(cfg.get("kind", "shepp-logan-modified"), grid, ellipses)
 
 
@@ -154,9 +178,9 @@ def noise_from_config(cfg: dict | None) -> NoiseSpec:
     if not cfg:
         return NoiseSpec()
     return NoiseSpec(model=cfg.get("model", "none"),
-                     sigma=float(cfg.get("sigma", 0.0)),
-                     photons=float(cfg.get("photons", 1e6)),
-                     seed=int(cfg.get("seed", 0)))
+                     sigma=config_float(cfg.get("sigma", 0.0), "noise.sigma"),
+                     photons=config_float(cfg.get("photons", 1e6), "noise.photons"),
+                     seed=config_int(cfg.get("seed", 0), "noise.seed"))
 
 
 def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
@@ -169,11 +193,14 @@ def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
     if source == "tv":
         return make_tv_weights(domain)
     if source == "random":
-        kernel = tuple(cfg.get("kernel", (3, 3) if domain == "image" else (3, 15)))
-        return make_random_weights(int(cfg.get("seed", 0)),
-                                   n_layers=int(cfg.get("layers", 3)),
-                                   n_channels=int(cfg.get("channels", 16)),
-                                   kernel=kernel)
+        key = f"regularizers.{domain}"
+        kernel = cfg.get("kernel", (3, 3) if domain == "image" else (3, 15))
+        if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
+            raise ConfigError(f"{key}.kernel must be a pair of integers, got {kernel!r}")
+        return make_random_weights(config_int(cfg.get("seed", 0), f"{key}.seed"),
+                                   n_layers=config_int(cfg.get("layers", 3), f"{key}.layers"),
+                                   n_channels=config_int(cfg.get("channels", 16), f"{key}.channels"),
+                                   kernel=tuple(config_int(k, f"{key}.kernel") for k in kernel))
     if source == "file":
         if "path" not in cfg:
             raise ConfigError(f"{domain} weights: file source needs 'path'")

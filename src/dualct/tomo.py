@@ -234,67 +234,90 @@ def uniform_mask(n_views_full: int, n_keep: int) -> ViewMask:
 # Ray tracing and the system matrix
 # ---------------------------------------------------------------------------
 
-def _trace_segment(p0, p1, grid: GridSpec):
-    """Exact chord lengths of the segment p0 -> p1 through the grid cells.
+def _view_endpoints(geo: ScanGeometry, theta: float, t: np.ndarray):
+    """Start and end points, as (R, 2) arrays, of the rays of one view.
 
-    Returns (flat pixel indices, lengths). Parametrize p(a) = p0 + a*(p1-p0),
-    collect all axis-plane crossings inside [0, 1], and read off the cell of
-    each inter-crossing midpoint.
+    ``t`` holds each ray's detector coordinate: the offset from the
+    rotation center for parallel beam, the angle within the fan for the
+    equiangular fan.
+    """
+    ox, oy = geo.grid.origin
+    xmin, xmax, ymin, ymax = geo.grid.extent
+    diag = np.hypot(xmax - xmin, ymax - ymin)
+    cos, sin = np.cos(theta), np.sin(theta)
+    if geo.kind == PARALLEL:
+        # through origin + t*(cos, sin), along (-sin, cos)
+        bx, by = ox + t * cos, oy + t * sin
+        p0 = np.stack([bx + diag * sin, by - diag * cos], axis=1)
+        p1 = np.stack([bx - diag * sin, by + diag * cos], axis=1)
+        return p0, p1
+    # from the source on the circle of radius source_radius, toward the
+    # rotation center turned by the fan angle t
+    src = np.array([ox + geo.source_radius * cos, oy + geo.source_radius * sin])
+    reach = geo.source_radius + geo.source_to_detector + diag
+    p1 = np.stack([src[0] - reach * np.cos(theta + t),
+                   src[1] - reach * np.sin(theta + t)], axis=1)
+    return np.broadcast_to(src, p1.shape), p1
+
+
+def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
+    """Exact chord lengths of the segments p0[r] -> p1[r] through the grid cells.
+
+    Returns (ray index, flat pixel index, length) of every chord, ordered by
+    ray and then along the ray. Each ray is parametrized as
+    p(a) = p0 + a*(p1-p0); its entry and exit parameters and its pixel-edge
+    crossings in between are sorted into one row, and each inter-crossing
+    midpoint names the cell of that chord. A crossing through a pixel corner
+    appears twice and yields a zero-length chord, which the length filter
+    drops.
     """
     xmin, xmax, ymin, ymax = grid.extent
     h = grid.pixel_size
     d = p1 - p0
-    seg_len = float(np.hypot(d[0], d[1]))
-    if seg_len == 0.0:
-        return np.empty(0, dtype=int), np.empty(0)
+    seg_len = np.hypot(d[:, 0], d[:, 1])
 
-    a_lo, a_hi = 0.0, 1.0
-    for axis, (lo, hi) in enumerate(((xmin, xmax), (ymin, ymax))):
-        if d[axis] != 0.0:
-            a1 = (lo - p0[axis]) / d[axis]
-            a2 = (hi - p0[axis]) / d[axis]
-            a_lo = max(a_lo, min(a1, a2))
-            a_hi = min(a_hi, max(a1, a2))
-        elif not (lo <= p0[axis] <= hi):
-            return np.empty(0, dtype=int), np.empty(0)
-    if a_lo >= a_hi:
-        return np.empty(0, dtype=int), np.empty(0)
+    a_lo, a_hi = np.zeros(len(d)), np.ones(len(d))
+    hit = seg_len != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis, (lo, hi) in enumerate(((xmin, xmax), (ymin, ymax))):
+            p, da = p0[:, axis], d[:, axis]
+            moving = da != 0.0
+            a1, a2 = (lo - p) / da, (hi - p) / da
+            a_lo = np.where(moving, np.maximum(a_lo, np.minimum(a1, a2)), a_lo)
+            a_hi = np.where(moving, np.minimum(a_hi, np.maximum(a1, a2)), a_hi)
+            # a ray parallel to this axis misses unless it lies in the slab
+            hit &= moving | ((lo <= p) & (p <= hi))
+        hit &= a_lo < a_hi
+        rays = np.flatnonzero(hit)
+        p0, d, seg_len = p0[rays], d[rays], seg_len[rays]
+        a_lo, a_hi = a_lo[rays, None], a_hi[rays, None]
+        # edge crossings; a ray parallel to an axis gets +-inf or nan there,
+        # which the interior test below discards
+        edges = [(lo + np.arange(n + 1) * h - p0[:, axis, None]) / d[:, axis, None]
+                 for axis, lo, n in ((0, xmin, grid.nx), (1, ymin, grid.ny))]
+    crossings = np.concatenate(edges, axis=1)
+    crossings[~((crossings > a_lo) & (crossings < a_hi))] = np.inf
+    alphas = np.sort(np.concatenate([a_lo, a_hi, crossings], axis=1), axis=1)
 
-    crossings = [np.array([a_lo, a_hi])]
-    for axis, lo, n in ((0, xmin, grid.nx), (1, ymin, grid.ny)):
-        if d[axis] != 0.0:
-            a = (lo + np.arange(n + 1) * h - p0[axis]) / d[axis]
-            crossings.append(a[(a > a_lo) & (a < a_hi)])
-    alphas = np.unique(np.concatenate(crossings))
+    # the finite entries of each sorted row are a prefix: its chords
+    seg = np.isfinite(alphas[:, 1:])
+    n_seg = np.count_nonzero(seg, axis=1)
+    a0, a1 = alphas[:, :-1][seg], alphas[:, 1:][seg]
+    lengths = (a1 - a0) * np.repeat(seg_len, n_seg)
+    mid = 0.5 * (a0 + a1)
 
-    lengths = np.diff(alphas) * seg_len
-    mids = p0[None, :] + 0.5 * (alphas[:-1] + alphas[1:])[:, None] * d[None, :]
-    ix = np.floor((mids[:, 0] - xmin) / h).astype(int)
-    iy = np.floor((mids[:, 1] - ymin) / h).astype(int)
+    def cell(axis, lo):
+        at = np.repeat(p0[:, axis], n_seg) + mid * np.repeat(d[:, axis], n_seg)
+        return np.floor((at - lo) / h).astype(int)
+
+    ix, iy = cell(0, xmin), cell(1, ymin)
     ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny) & (lengths > 1e-12 * h)
-    return (iy[ok] * grid.nx + ix[ok]), lengths[ok]
+    return np.repeat(rays, n_seg)[ok], iy[ok] * grid.nx + ix[ok], lengths[ok]
 
 
-def _ray_endpoints(geo: ScanGeometry, view: int, det: int, t_offset=0.0):
-    """Start and end points of the center ray for (view, detector bin)."""
-    theta = geo.angles[view]
-    t = (det - 0.5 * (geo.n_dets - 1)) * geo.det_spacing + t_offset
-    ox, oy = geo.grid.origin
-    xmin, xmax, ymin, ymax = geo.grid.extent
-    diag = np.hypot(xmax - xmin, ymax - ymin)
-    if geo.kind == PARALLEL:
-        n = np.array([np.cos(theta), np.sin(theta)])
-        d = np.array([-np.sin(theta), np.cos(theta)])
-        base = np.array([ox, oy]) + t * n
-        return base - diag * d, base + diag * d
-    # equiangular fan: t is the fan angle of the ray within the fan
-    src = np.array([ox + geo.source_radius * np.cos(theta),
-                    oy + geo.source_radius * np.sin(theta)])
-    direction = -np.array([np.cos(theta + t), np.sin(theta + t)])
-    reach = geo.source_radius + geo.source_to_detector + diag
-    return src, src + reach * direction
-
-
+# Matrices of the most recently used geometries; a 128^2 matrix with 180
+# views takes about 46 MB, so a process sweeping geometries keeps only a few.
+_MATRIX_CACHE_SIZE = 4
 _MATRIX_CACHE: dict[tuple, sp.csr_matrix] = {}
 
 
@@ -302,40 +325,43 @@ def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
     """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths.
 
     ``supersample`` > 1 averages that many evenly offset sub-rays per
-    detector bin. Cached per geometry.
+    detector bin. All rays of a view are traced in one vectorized pass.
+    Cached per geometry; the cache keeps the ``_MATRIX_CACHE_SIZE`` most
+    recently used matrices.
     """
     if supersample < 1:
         raise ConfigError("supersample must be >= 1")
     key = geo.fingerprint() + (supersample,)
-    cached = _MATRIX_CACHE.get(key)
+    cached = _MATRIX_CACHE.pop(key, None)
     if cached is not None:
+        _MATRIX_CACHE[key] = cached
         return cached
 
     grid = geo.grid
     n_rows = geo.n_views_full * geo.n_dets
     offsets = ((np.arange(supersample) + 0.5) / supersample - 0.5) * geo.det_spacing
     w_sub = 1.0 / supersample
+    # detector-major, then sub-ray: the row of ray r is r // supersample
+    t = ((np.arange(geo.n_dets) - 0.5 * (geo.n_dets - 1)) * geo.det_spacing)[:, None] + offsets
+    t = t.ravel()
+    # the index type scipy picks for this shape, so the COO arrays need no copy
+    fits_int32 = max(n_rows, grid.nx * grid.ny) <= np.iinfo(np.int32).max
+    index_dtype = np.int32 if fits_int32 else np.int64
 
     rows, cols, vals = [], [], []
-    for v in range(geo.n_views_full):
-        for j in range(geo.n_dets):
-            r = v * geo.n_dets + j
-            for off in offsets:
-                p0, p1 = _ray_endpoints(geo, v, j, t_offset=off)
-                idx, ln = _trace_segment(p0, p1, grid)
-                if idx.size:
-                    rows.append(np.full(idx.size, r))
-                    cols.append(idx)
-                    vals.append(ln * w_sub)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = np.empty(0, dtype=int)
-        vals = np.empty(0)
+    for v, theta in enumerate(geo.angles):
+        ray, pix, ln = _trace_view(*_view_endpoints(geo, theta, t), grid)
+        rows.append((v * geo.n_dets + ray // supersample).astype(index_dtype))
+        cols.append(pix.astype(index_dtype))
+        vals.append(ln * w_sub)
+    # one list at a time, so each list of pieces is freed once joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, grid.nx * grid.ny))
     mat.sum_duplicates()
+    if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
+        del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
     _MATRIX_CACHE[key] = mat
     return mat
 
@@ -404,9 +430,14 @@ def upsample_sinogram_linear(sparse: Sinogram, n_views_full: int | None = None) 
     xp = np.concatenate([sel, [sel[0] + n_views_full]])
     fp = np.vstack([sparse.values, sparse.values[:1]])
     targets = (np.arange(n_views_full) - sel[0]) % n_views_full + sel[0]
-    out = np.empty((n_views_full, geo.n_dets))
-    for d in range(geo.n_dets):
-        out[:, d] = np.interp(targets, xp, fp[:, d])
+    # np.interp's arithmetic, applied to every detector column at once:
+    # the bracketing knot j, then slope*(x - xp[j]) + fp[j], and fp[j]
+    # itself at a knot
+    j = np.searchsorted(xp, targets, side="right") - 1
+    slopes = (fp[1:] - fp[:-1]) / np.diff(xp)[:, None]
+    out = slopes[j] * (targets - xp[j])[:, None] + fp[j]
+    at_knot = targets == xp[j]
+    out[at_knot] = fp[j[at_knot]]
     return Sinogram(geo, np.arange(n_views_full), out)
 
 

@@ -133,6 +133,20 @@ class TestExitCodes:
         assert main(["reconstruct", "--config", str(cfg)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("lambda", {"lambda": "abc"}),
+        ("noise.sigma", {"noise": {"model": "gaussian", "sigma": "abc"}}),
+        ("grid.nx", {"geometry": {"grid": {"nx": "abc", "ny": 16}, "n_views": 24, "n_dets": 23}}),
+        ("grid.nx", {"geometry": {"grid": {"nx": 16.7, "ny": 16}, "n_views": 24, "n_dets": 23}}),
+        ("regularizers.image.channels",
+         {"regularizers": {"image": {"source": "random", "channels": "abc"}}}),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     def test_non_finite_safeguard_step(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solver={
             "max_iters": 5, "eta": 1e10, "bar_alpha0": 1e300,

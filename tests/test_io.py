@@ -152,6 +152,37 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 io.solver_params_from_config(None, {"type": "phases", "phases": phases})
 
+    def test_scalars_typed(self, tmp_path):
+        # YAML 1.1 reads 1e5 (no dot) as a string; floats convert with float()
+        path = tmp_path / "c.yaml"
+        path.write_text("noise: {model: poisson-transmission, photons: 1e5, seed: 3}\n")
+        noise = io.noise_from_config(io.load_config(path)["noise"])
+        assert noise.photons == 1e5 and noise.seed == 3
+        grid = io.grid_from_config({"nx": 4, "ny": 6, "pixel_size": 1, "origin": [1, -2]})
+        assert grid.pixel_size == 1.0 and grid.origin == (1.0, -2.0)
+        assert io.config_int(7, "k") == 7
+        for bad in (16.7, 16.0, "16", True, None):
+            with pytest.raises(ConfigError, match="grid.nx"):
+                io.grid_from_config({"nx": bad, "ny": 4})
+        for bad in ("abc", None, [1.0]):
+            with pytest.raises(ConfigError, match="noise.sigma"):
+                io.noise_from_config({"sigma": bad})
+        bad_cfgs = [
+            (io.grid_from_config, {"nx": 4, "ny": 4, "origin": 5}),
+            (io.geometry_from_config, {"grid": {"nx": 4, "ny": 4}, "n_views": 4.5, "n_dets": 5}),
+            (io.geometry_from_config, {"grid": {"nx": 4, "ny": 4}, "n_views": 4, "n_dets": 5,
+                                       "det_spacing": "wide"}),
+            (io.geometry_from_config, {"grid": {"nx": 4, "ny": 4}, "kind": "fan", "n_views": 4,
+                                       "n_dets": 5, "source_radius": "far"}),
+            (lambda c: io.mask_from_config(c, 12), {"n_keep": 4.0}),
+            (lambda c: io.mask_from_config(c, 12), {"selected": [0, 3.5]}),
+            (lambda c: io.weights_from_config(c, "image"), {"source": "random", "layers": 2.5}),
+            (lambda c: io.weights_from_config(c, "image"), {"source": "random", "kernel": [3, "3"]}),
+        ]
+        for read, cfg in bad_cfgs:
+            with pytest.raises(ConfigError):
+                read(cfg)
+
     def test_load_config_validation(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("- just\n- a\n- list\n")

@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dualct import tomo
 from dualct.errors import ConfigError, InputError
 from dualct.metrics import psnr
 from dualct.simdata import PhantomSpec, make_phantom
@@ -8,14 +13,36 @@ from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, ScanGeometry,
                          Sinogram, ViewMask, back_project, fan_geometry,
                          fbp_reconstruct, forward_project, parallel_geometry,
                          subsample_views, system_matrix, uniform_mask,
-                         upsample_sinogram_linear, zero_fill_views,
-                         _ray_endpoints)
+                         upsample_sinogram_linear, zero_fill_views)
 
 
 # ---------------------------------------------------------------------------
 # Independent dense-matrix oracle: clip each ray against every pixel square
 # (Liang-Barsky), entirely separate from the production Siddon traversal.
 # ---------------------------------------------------------------------------
+
+def _oracle_endpoints(geo, view, det, offset=0.0):
+    """A segment along the ray of (view, detector bin) that spans the grid.
+
+    Built from the geometry's definition, not from the production tracer:
+    a parallel ray is the line whose normal at angle theta lies at offset t
+    from the origin; a fan ray leaves the source at angle theta on the
+    source circle, turned by t from the direction to the origin.
+    """
+    theta = geo.angles[view]
+    t = (det - (geo.n_dets - 1) / 2) * geo.det_spacing + offset
+    center = np.asarray(geo.grid.origin, dtype=float)
+    xmin, xmax, ymin, ymax = geo.grid.extent
+    reach = geo.source_radius + (xmax - xmin) + (ymax - ymin)
+    normal = np.array([np.cos(theta), np.sin(theta)])
+    if geo.kind == PARALLEL:
+        foot = center + t * normal
+        along = np.array([np.cos(theta + np.pi / 2), np.sin(theta + np.pi / 2)])
+        return foot - reach * along, foot + reach * along
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    src = center + geo.source_radius * normal
+    return src, src + reach * (rot @ -normal)
+
 
 def _clip_length(p0, p1, xlo, xhi, ylo, yhi):
     # Pixels are half-open, [lo, hi): a ray lying exactly on a shared edge
@@ -39,20 +66,124 @@ def _clip_length(p0, p1, xlo, xhi, ylo, yhi):
     return (t1 - t0) * float(np.hypot(*d))
 
 
-def dense_matrix_oracle(geo):
+def dense_matrix_oracle(geo, supersample=1):
     grid = geo.grid
     xmin, _, ymin, _ = grid.extent
     h = grid.pixel_size
+    offsets = [(2 * s + 1 - supersample) / (2 * supersample) * geo.det_spacing
+               for s in range(supersample)]
     mat = np.zeros((geo.n_views_full * geo.n_dets, grid.nx * grid.ny))
     for v in range(geo.n_views_full):
         for j in range(geo.n_dets):
-            p0, p1 = _ray_endpoints(geo, v, j)
-            for iy in range(grid.ny):
-                for ix in range(grid.nx):
-                    ln = _clip_length(p0, p1, xmin + ix * h, xmin + (ix + 1) * h,
-                                      ymin + iy * h, ymin + (iy + 1) * h)
-                    mat[v * geo.n_dets + j, iy * grid.nx + ix] = ln
+            for off in offsets:
+                p0, p1 = _oracle_endpoints(geo, v, j, off)
+                for iy in range(grid.ny):
+                    for ix in range(grid.nx):
+                        ln = _clip_length(p0, p1, xmin + ix * h, xmin + (ix + 1) * h,
+                                          ymin + iy * h, ymin + (iy + 1) * h)
+                        mat[v * geo.n_dets + j, iy * grid.nx + ix] += ln / supersample
     return mat
+
+
+def _off_axis(angles, margin=1e-3):
+    """True when no angle lies within ``margin`` of a multiple of pi/2."""
+    r = np.mod(np.asarray(angles, dtype=float), np.pi / 2)
+    return bool(np.all((r > margin) & (r < np.pi / 2 - margin)))
+
+
+@st.composite
+def small_geometries(draw):
+    """(geometry, supersample): a grid of at most 6x6 pixels at a random
+    origin, a few off-axis views and a random detector pitch."""
+    h = draw(st.floats(0.25, 2.0))
+    grid = GridSpec(draw(st.integers(1, 6)), draw(st.integers(1, 6)), h,
+                    (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))))
+    angles = tuple(sorted(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=1,
+                                        max_size=4, unique=True))))
+    assume(_off_axis(angles))
+    n_dets = draw(st.integers(1, 7))
+    supersample = draw(st.integers(1, 2))
+    if draw(st.sampled_from([PARALLEL, FAN])) == PARALLEL:
+        geo = ScanGeometry(PARALLEL, angles, n_dets, draw(st.floats(0.1, 1.5)) * h, grid)
+    else:
+        xmin, xmax, ymin, ymax = grid.extent
+        radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin) * draw(st.floats(1.1, 3.0))
+        geo = ScanGeometry(FAN, angles, n_dets, draw(st.floats(0.01, 0.3)), grid,
+                           source_radius=radius, source_to_detector=radius)
+        # every fan ray must be off-axis too
+        span = (np.arange(n_dets * supersample) + 0.5) / supersample - 0.5 * n_dets
+        assume(_off_axis(np.add.outer(angles, span * geo.det_spacing)))
+    return geo, supersample
+
+
+class TestSystemMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(small_geometries())
+    def test_matches_dense_oracle(self, case):
+        geo, supersample = case
+        got = system_matrix(geo, supersample).toarray()
+        np.testing.assert_allclose(got, dense_matrix_oracle(geo, supersample),
+                                   rtol=0, atol=1e-10)
+
+    # sha256 of (indptr, indices, data), recorded from the per-ray tracing
+    # loop this vectorized tracer replaced; the build must stay byte-identical.
+    PINNED = {
+        # theta = 0 and pi/2 with detector bins on pixel edges
+        "parallel16_axis": (lambda: parallel_geometry(8, 17, GridSpec(16, 16, 1.0),
+                                                      det_spacing=1.0), 1,
+                            "f4dc00701e694ac026f1cb81445544d670718fee8ec631207733ce8facabb83a",
+                            "8b54ad1e25d671c013802f0f36969cc21fa4f95a265140657c56d8e94db08ead",
+                            "4b9dbfff5dc0fa80340d5e969cee47df6abea611c49445bd404e440fd407aa6e"),
+        # offset origin, detector span wider than the grid: 246 empty rows
+        "rect_offset_wide": (lambda: ScanGeometry(
+                                PARALLEL, tuple(np.arange(10) * (np.pi / 10) + 0.05), 41, 0.9,
+                                GridSpec(20, 13, 0.7, origin=(1.3, -0.6))), 1,
+                             "7913e90d874b08a220b59fb80842e78720a232526d4f3f151597d3b2f7539e3a",
+                             "de7944796560a2267887045c9dd06bd253c517cf3a2e389b72bf01c7e7101b85",
+                             "b074203f4782ae7e4452264b56c4525a9301b45f1dfe1f7623bdf29e6bdf2cee"),
+        "supersample3": (lambda: parallel_geometry(12, 21, GridSpec(16, 16, 1.0)), 3,
+                         "4d3d541c781157c185c2809d27f9e3cb2a2abd002c1047853520b55c3dda15a7",
+                         "04a547258851357a8b053f9ce84244c34760bfcccd1a64c72cbcd666d7cf3b40",
+                         "d183f758428435c50b2382668608d40d01736261d712062908a9fb86b2956cdd"),
+        "fan": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)), 1,
+                "4cc0e217b04b059690b587937f6ea98c128279ecdad03eb1257c1f58f1f76355",
+                "08fb24a6b802f07d3d70b6cb91efa39262fbf99ced7a4230961d36d2176a3eb2",
+                "05c585230ce4d5b60555195c42e7c18513406597d0654b9d5e76eb817fc4b218"),
+        "fan_supersample2": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)), 2,
+                             "e290990ed2975213f4555efb16cfaf2abea4361481dd47d7dcefe6a094396ff8",
+                             "11467d1753d5c141fc09b3119e97ca1af96334229c92b2029945aa9ab6c481d2",
+                             "52061193cdcd3448e7c0422f8f842b7cd3e6281b4bde339ae59978b69421c063"),
+        "grid1x1": (lambda: parallel_geometry(4, 3, GridSpec(1, 1, 1.0)), 1,
+                    "c72dd2e22cfe4b7a3023394a011364af88315aa6e10c0f8b4c955f8e17ae1c4c",
+                    "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+                    "048ba90947ebcbd10a314799db283722492b8e027b38a4c4cfc3927e4cc7b285"),
+        # the benchmark's tv64 geometry
+        "tv64": (lambda: parallel_geometry(90, 95, GridSpec(64, 64, 2.0 / 64)), 1,
+                 "4f7c2603a28a795af6698d22eb0e88736187baf18385a12f5c51d7e07b92722e",
+                 "f725b5e1a0c93cc67c8e4582110abce4a44cea8f08ac7ebbe0e299f0d5e31545",
+                 "f3f48028640b8bf6598ceabe8c5f916a6e468487f5d4898ce8cb8dc11ee7b3fc"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_bytes(self, name):
+        make_geo, supersample, *expected = self.PINNED[name]
+        mat = system_matrix(make_geo(), supersample)
+        got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+               for a in (mat.indptr, mat.indices, mat.data)]
+        assert got == expected
+
+    def test_cache_evicts_least_recently_used(self, grid8, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(tomo, "_MATRIX_CACHE", cache)
+        geos = [parallel_geometry(3 + k, 5, grid8) for k in range(tomo._MATRIX_CACHE_SIZE + 1)]
+        mats = [system_matrix(geo) for geo in geos[:-1]]
+        assert system_matrix(geos[0]) is mats[0]  # now the most recently used
+        system_matrix(geos[-1])
+        assert len(cache) == tomo._MATRIX_CACHE_SIZE
+        assert system_matrix(geos[0]) is mats[0]
+        rebuilt = system_matrix(geos[1])
+        assert rebuilt is not mats[1]
+        assert (rebuilt != mats[1]).nnz == 0
 
 
 class TestForwardProject:
@@ -217,6 +348,23 @@ class TestUpsample:
         sparse = self._sparse(geo, 4, vals)
         out = upsample_sinogram_linear(sparse)
         np.testing.assert_array_equal(out.values[sparse.view_indices], vals)
+
+    @pytest.mark.parametrize("n_views, selected, n_dets", [
+        (24, (0, 1, 5, 6, 11, 17, 18, 23), 13),
+        (24, (3, 4, 9, 20), 7),
+        (180, tuple(range(0, 180, 3)), 185),
+    ])
+    def test_bytes_match_per_column_interp(self, grid8, rng, n_views, selected, n_dets):
+        geo = parallel_geometry(n_views, n_dets, grid8)
+        vals = rng.standard_normal((len(selected), n_dets))
+        vals[:, 0] = -0.0  # np.interp returns a knot's value itself, sign of zero included
+        out = upsample_sinogram_linear(Sinogram(geo, np.array(selected), vals))
+        sel = np.asarray(selected, dtype=float)
+        xp = np.concatenate([sel, [sel[0] + n_views]])
+        fp = np.vstack([vals, vals[:1]])
+        targets = (np.arange(n_views) - sel[0]) % n_views + sel[0]
+        expected = np.stack([np.interp(targets, xp, fp[:, d]) for d in range(n_dets)], axis=1)
+        assert out.values.tobytes() == expected.tobytes()
 
     def test_too_few_views(self, grid8):
         geo = parallel_geometry(12, 9, grid8)
