@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, NumericalError, SolverError
 from .objective import DualState, ProblemSpec
-from .regularizer import make_random_weights, make_tv_weights, save_weights
+from .regularizer import save_weights
 from .simdata import initialize, make_phantom, simulate_measurement
 from .solver import run as solver_run
 from .tomo import Sinogram, fbp_reconstruct, zero_fill_views
@@ -33,11 +33,13 @@ class _Setup:
     def __init__(self, config_path):
         self.config_path = Path(config_path)
         self.cfg = io.load_config(self.config_path)
+        if "geometry" not in self.cfg:
+            raise ConfigError("config needs a 'geometry' section")
         self.geometry = io.geometry_from_config(self.cfg["geometry"])
         self.mask = io.mask_from_config(self.cfg.get("mask", {"n_keep": self.geometry.n_views_full}),
                                         self.geometry.n_views_full)
         self.noise = io.noise_from_config(self.cfg.get("noise"))
-        regs = self.cfg.get("regularizers", {})
+        regs = io.config_mapping(self.cfg.get("regularizers"), "regularizers")
         self.image_weights = io.weights_from_config(regs.get("image"), "image")
         self.sino_weights = io.weights_from_config(regs.get("sinogram"), "sinogram")
         self.lam = io.config_float(self.cfg.get("lambda", 10.0), "lambda")
@@ -46,7 +48,7 @@ class _Setup:
         self.out_dir = Path(self.cfg.get("output", "."))
 
     def phantom_spec(self):
-        return io.phantom_from_config(self.cfg.get("phantom", {}), self.geometry.grid)
+        return io.phantom_from_config(self.cfg.get("phantom"), self.geometry.grid)
 
     def out(self, name) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -141,13 +143,9 @@ def cmd_metrics(test_path, ref_path, data_range=None, out_path=None) -> str:
 
 
 def cmd_weights(kind, out_path, domain="image", seed=0) -> str:
-    if kind == "tv":
-        stack = make_tv_weights(domain)
-    elif kind == "random":
-        kernel = (3, 3) if domain == "image" else (3, 15)
-        stack = make_random_weights(seed, kernel=kernel)
-    else:
+    if kind not in ("tv", "random"):
         raise ConfigError(f"unknown weight kind {kind!r}")
+    stack = io.weights_from_config({"source": kind, "seed": seed}, domain)
     save_weights(stack, out_path)
     return f"{kind} weights ({stack.n_layers} layers, {stack.out_channels} ch) -> {out_path}"
 

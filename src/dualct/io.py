@@ -124,7 +124,24 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_mapping(value, key: str) -> dict:
+    """A config section; an absent (null) section reads as ``{}``."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def config_list(value, key: str) -> list:
+    """A config sequence."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def grid_from_config(cfg: dict) -> GridSpec:
+    cfg = config_mapping(cfg, "geometry.grid")
     try:
         nx, ny = config_int(cfg["nx"], "grid.nx"), config_int(cfg["ny"], "grid.ny")
     except KeyError as exc:
@@ -137,6 +154,7 @@ def grid_from_config(cfg: dict) -> GridSpec:
 
 
 def geometry_from_config(cfg: dict) -> ScanGeometry:
+    cfg = config_mapping(cfg, "geometry")
     try:
         grid = grid_from_config(cfg["grid"])
         kind = cfg.get("kind", "parallel")
@@ -160,8 +178,10 @@ def geometry_from_config(cfg: dict) -> ScanGeometry:
 
 
 def mask_from_config(cfg: dict, n_views_full: int) -> ViewMask:
+    cfg = config_mapping(cfg, "mask")
     if "selected" in cfg:
-        selected = tuple(config_int(i, "mask.selected") for i in cfg["selected"])
+        selected = tuple(config_int(i, "mask.selected")
+                         for i in config_list(cfg["selected"], "mask.selected"))
         return ViewMask(n_views_full, selected)
     if "n_keep" in cfg:
         return uniform_mask(n_views_full, config_int(cfg["n_keep"], "mask.n_keep"))
@@ -169,12 +189,15 @@ def mask_from_config(cfg: dict, n_views_full: int) -> ViewMask:
 
 
 def phantom_from_config(cfg: dict, grid: GridSpec) -> PhantomSpec:
-    ellipses = tuple(tuple(config_float(v, "phantom.ellipses") for v in e)
-                     for e in cfg.get("ellipses", ()))
+    cfg = config_mapping(cfg, "phantom")
+    ellipses = tuple(tuple(config_float(v, "phantom.ellipses")
+                           for v in config_list(e, "phantom.ellipses"))
+                     for e in config_list(cfg.get("ellipses", ()), "phantom.ellipses"))
     return PhantomSpec(cfg.get("kind", "shepp-logan-modified"), grid, ellipses)
 
 
 def noise_from_config(cfg: dict | None) -> NoiseSpec:
+    cfg = config_mapping(cfg, "noise")
     if not cfg:
         return NoiseSpec()
     return NoiseSpec(model=cfg.get("model", "none"),
@@ -185,6 +208,8 @@ def noise_from_config(cfg: dict | None) -> NoiseSpec:
 
 def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
     """Regularizer weight source: tv | random | file | none."""
+    key = f"regularizers.{domain}"
+    cfg = config_mapping(cfg, key)
     if not cfg:
         return None
     source = cfg.get("source", "none")
@@ -193,7 +218,6 @@ def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
     if source == "tv":
         return make_tv_weights(domain)
     if source == "random":
-        key = f"regularizers.{domain}"
         kernel = cfg.get("kernel", (3, 3) if domain == "image" else (3, 15))
         if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
             raise ConfigError(f"{key}.kernel must be a pair of integers, got {kernel!r}")
@@ -209,6 +233,8 @@ def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
 
 
 def solver_params_from_config(cfg: dict | None, mode: dict | None = None) -> SolverParams:
+    cfg = config_mapping(cfg, "solver")
+    mode = config_mapping(mode, "mode")
     params = SolverParams()
     if cfg:
         valid = set(SolverParams.__dataclass_fields__)

@@ -68,8 +68,8 @@ class Point:
     """One iterate (x, z) with everything the solver evaluates at it.
 
     Construction applies A once and keeps Ax, both residuals, the data term
-    ``f`` and each domain's extractor features with their pre-activation
-    cache. Gradients and phi_eps are computed on first use and kept per eps.
+    ``f`` and each domain's extractor features with their pre-activations.
+    Gradients and phi_eps are computed on first use and kept per eps.
     ``x`` and ``z`` are never modified and must be finite.
     """
 
@@ -84,7 +84,7 @@ class Point:
         self.f = float(0.5 * np.sum(self.proj_res**2)
                        + 0.5 * spec.lam * np.sum(self.data_res**2))
         self._domains = ((x, spec.image_weights), (z, spec.sino_weights))
-        self.forward = tuple(None if w is None else reg.feature_forward(y, w, with_cache=True)
+        self.forward = tuple(None if w is None else reg.feature_forward(y, w)
                              for y, w in self._domains)
         self._phi, self._reg_grads, self._grad = {}, {}, {}
 
@@ -107,7 +107,7 @@ class Point:
             val = self.f
             for (y, w), fwd in zip(self._domains, self.forward):
                 if w is not None:
-                    val += reg.smoothed_value(y, w, eps, field=fwd[0])
+                    val += reg.smoothed_value(y, w, eps, forward=fwd)
             self._phi[eps] = val
         return self._phi[eps]
 
@@ -165,13 +165,13 @@ def grad_norm(gx: np.ndarray, gz: np.ndarray) -> float:
     return float(np.sqrt(np.sum(gx**2) + np.sum(gz**2)))
 
 
-def block_lipschitz(spec: ProblemSpec, power_iters: int = 50, seed: int = 0):
+def block_lipschitz(spec: ProblemSpec, power_iters: int = 50):
     """Hessian spectral norms of f: (z-block, x-block, whole).
 
     The Hessian is the constant block matrix
     [[A^T A, -A^T], [-A, I + lambda P0^T P0]]. The z-block norm is exactly
     1 + lambda; the x-block norm ||A^T A|| and the norm of the whole are
-    estimated by power iteration.
+    estimated by power iteration from random start vectors (seed 0).
     """
     a = system_matrix(spec.geometry)
     n_x = a.shape[1]
@@ -186,19 +186,19 @@ def block_lipschitz(spec: ProblemSpec, power_iters: int = 50, seed: int = 0):
         return np.concatenate([a.T @ r.ravel(), hz.ravel()])
 
     l_x = reg.power_iteration(lambda v: a.T @ (a @ v),
-                              np.random.default_rng(seed).standard_normal(n_x), power_iters)
-    rng = np.random.default_rng(seed)
+                              np.random.default_rng(0).standard_normal(n_x), power_iters)
+    rng = np.random.default_rng(0)
     v = np.concatenate([rng.standard_normal(n_x), rng.standard_normal(a.shape[0])])
     l_f = reg.power_iteration(hessian, v, power_iters, norm=lambda u: np.sqrt(
         np.sum(u[:n_x]**2) + np.sum(u[n_x:]**2)))
     return 1.0 + spec.lam, l_x, l_f
 
 
-def lipschitz_regularizers(spec: ProblemSpec, seed: int = 0):
+def lipschitz_regularizers(spec: ProblemSpec):
     """(image, sinogram) regularizer gradient Lipschitz estimates, as
     functions of eps; zero for an absent or all-zero regularizer."""
     return tuple((lambda eps: 0.0) if w is None or w.is_zero()
-                 else reg.lipschitz_estimate(w, probe_shape, seed=seed)
+                 else reg.lipschitz_estimate(w, probe_shape)
                  for w, probe_shape in ((spec.image_weights, spec.geometry.grid.shape),
                                         (spec.sino_weights, spec.sino_shape())))
 
@@ -219,12 +219,11 @@ class LipschitzConstants:
         return self.l_f + self.image(eps) + self.sino(eps)
 
 
-def lipschitz_constants(spec: ProblemSpec, seed: int = 0) -> LipschitzConstants:
+def lipschitz_constants(spec: ProblemSpec) -> LipschitzConstants:
     """Run every Lipschitz power iteration of the problem once."""
-    return LipschitzConstants(*block_lipschitz(spec, seed=seed),
-                              *lipschitz_regularizers(spec, seed=seed))
+    return LipschitzConstants(*block_lipschitz(spec), *lipschitz_regularizers(spec))
 
 
-def composite_lipschitz(spec: ProblemSpec, eps: float, seed: int = 0) -> float:
+def composite_lipschitz(spec: ProblemSpec, eps: float) -> float:
     """Estimate of the Lipschitz constant of the full smoothed gradient."""
-    return lipschitz_constants(spec, seed=seed).composite(eps)
+    return lipschitz_constants(spec).composite(eps)

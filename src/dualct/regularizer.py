@@ -10,6 +10,7 @@ convolutions + activation derivative at cached pre-activations).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -81,26 +82,6 @@ class ConvStack:
         return all(not np.any(w) for w in self.layers)
 
 
-@dataclass
-class FeatureField:
-    """Extractor output: (sites x channels) array over the input grid."""
-
-    shape: tuple[int, int]   # spatial shape of the underlying field
-    values: np.ndarray       # (n_sites, n_channels)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.shape[0] * self.shape[1]:
-            raise InputError("feature values must be (n_sites, n_channels)")
-
-    @property
-    def n_sites(self) -> int:
-        return self.values.shape[0]
-
-    def site_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values**2, axis=1))
-
-
 def _conv_layer(h, w):
     """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero same padding."""
     out = np.empty((w.shape[0],) + h.shape[1:])
@@ -112,22 +93,21 @@ def _conv_layer(h, w):
     return out
 
 
-def _conv_layer_transpose(g, w):
-    """Transpose of :func:`_conv_layer`: g (out_c, H, W) -> (in_c, H, W)."""
-    out = np.empty((w.shape[1],) + g.shape[1:])
-    for i in range(w.shape[1]):
-        acc = ndimage.convolve(g[0], w[0, i], mode="constant")
-        for o in range(1, w.shape[0]):
-            acc += ndimage.convolve(g[o], w[o, i], mode="constant")
-        out[i] = acc
-    return out
+def _conv_layer_adjoint(g, w):
+    """Transpose of :func:`_conv_layer`: g (out_c, H, W) -> (in_c, H, W).
+
+    It is the same routine with the channel axes swapped and each kernel
+    turned by 180 degrees (correlating with a turned kernel is convolving).
+    """
+    return _conv_layer(g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
-def feature_forward(y: np.ndarray, stack: ConvStack, with_cache: bool = False):
+def feature_forward(y: np.ndarray, stack: ConvStack):
     """Run the extractor on a 2-D field.
 
-    Returns the FeatureField, or (FeatureField, pre_activations) when
-    ``with_cache`` is set; the cache feeds the transpose pass.
+    Returns ``(features, pre)``: the (n_sites, out_channels) features and
+    the pre-activations of the hidden layers, which the Jacobian passes
+    :func:`feature_vjp` and :func:`feature_jvp` take.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -141,80 +121,71 @@ def feature_forward(y: np.ndarray, stack: ConvStack, with_cache: bool = False):
             h = smoothed_relu(z, stack.activation_delta)
         else:
             h = z
-    field = FeatureField(y.shape, h.reshape(h.shape[0], -1).T)
-    if with_cache:
-        return field, pre
-    return field
+    return h.reshape(h.shape[0], -1).T, pre
 
 
 def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
-                cache=None) -> np.ndarray:
+                pre) -> np.ndarray:
     """Jacobian-transpose of the extractor at ``y`` applied to ``cotangent``.
 
-    ``cotangent`` is (n_sites, out_channels); the result has the shape of
-    ``y``. Pass the pre-activation cache from feature_forward to skip the
-    recompute.
+    ``cotangent`` is (n_sites, out_channels) and ``pre`` comes from
+    :func:`feature_forward` at ``y``; the result has the shape of ``y``.
     """
     y = np.asarray(y, dtype=float)
     cot = np.asarray(cotangent, dtype=float)
     n_sites = y.shape[0] * y.shape[1]
     if cot.shape != (n_sites, stack.out_channels):
         raise InputError("cotangent shape does not match extractor output")
-    if cache is None:
-        _, cache = feature_forward(y, stack, with_cache=True)
     g = cot.T.reshape(stack.out_channels, *y.shape)
     for li in range(stack.n_layers - 1, -1, -1):
-        g = _conv_layer_transpose(g, stack.layers[li])
+        g = _conv_layer_adjoint(g, stack.layers[li])
         if li > 0:
-            g = g * smoothed_relu_deriv(cache[li - 1], stack.activation_delta)
+            g = g * smoothed_relu_deriv(pre[li - 1], stack.activation_delta)
     return g[0]
 
 
 def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
-                cache=None) -> np.ndarray:
+                pre) -> np.ndarray:
     """Directional derivative of the extractor at ``y`` along ``tangent``.
 
-    Returns an (n_sites, out_channels) array; used by the power iteration
-    in :func:`lipschitz_estimate`. Pass the pre-activation cache from
-    feature_forward to skip the recompute.
+    ``pre`` comes from :func:`feature_forward` at ``y``. Returns an
+    (n_sites, out_channels) array; used by the power iteration in
+    :func:`lipschitz_estimate`.
     """
     y = np.asarray(y, dtype=float)
     v = np.asarray(tangent, dtype=float)
     if v.shape != y.shape:
         raise InputError("tangent shape must match the input field")
-    if cache is None:
-        _, cache = feature_forward(y, stack, with_cache=True)
     hv = v[None]
     for li, w in enumerate(stack.layers):
         hv = _conv_layer(hv, w)
         if li < stack.n_layers - 1:
-            hv = hv * smoothed_relu_deriv(cache[li], stack.activation_delta)
+            hv = hv * smoothed_relu_deriv(pre[li], stack.activation_delta)
     return hv.reshape(hv.shape[0], -1).T
 
 
-def l21_norm(field: FeatureField) -> float:
+def _site_norms(features: np.ndarray) -> np.ndarray:
+    """Euclidean norm across channels at each site."""
+    return np.sqrt(np.sum(features**2, axis=1))
+
+
+def l21_norm(features: np.ndarray) -> float:
     """Sum over sites of the Euclidean norm across channels."""
-    return float(np.sum(field.site_norms()))
-
-
-def _huber_cotangent(values: np.ndarray, eps: float) -> np.ndarray:
-    norms = np.sqrt(np.sum(values**2, axis=1))
-    inner = norms <= eps
-    scale = np.where(inner, 1.0 / eps, 1.0 / np.where(norms > 0, norms, 1.0))
-    return values * scale[:, None]
+    return float(np.sum(_site_norms(features)))
 
 
 def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float,
-                   field: FeatureField | None = None) -> float:
+                   forward=None) -> float:
     """Huber-smoothed l2,1 regularizer value.
 
     Sites with feature norm <= eps contribute quadratically, the rest
-    contribute their norm minus eps/2. Pass the extractor output at ``y``
-    as ``field`` to skip the forward pass.
+    contribute their norm minus eps/2. ``forward`` is the
+    :func:`feature_forward` result at ``y``, if already computed.
     """
     if not eps > 0:
         raise ConfigError("smoothing eps must be positive")
-    norms = (field if field is not None else feature_forward(y, stack)).site_norms()
+    features, _ = forward if forward is not None else feature_forward(y, stack)
+    norms = _site_norms(features)
     inner = norms <= eps
     return float(np.sum(np.where(inner, norms**2 / (2.0 * eps), norms - 0.5 * eps)))
 
@@ -222,13 +193,13 @@ def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float,
 def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
                   forward=None) -> np.ndarray:
     """Gradient of :func:`smoothed_value` with respect to ``y``; ``forward``
-    is the (field, cache) pair of feature_forward at ``y``, if computed."""
+    is the :func:`feature_forward` result at ``y``, if already computed."""
     if not eps > 0:
         raise ConfigError("smoothing eps must be positive")
-    field, cache = forward if forward is not None else feature_forward(
-        y, stack, with_cache=True)
-    cot = _huber_cotangent(field.values, eps)
-    return feature_vjp(y, stack, cot, cache=cache)
+    features, pre = forward if forward is not None else feature_forward(y, stack)
+    norms = _site_norms(features)
+    scale = np.where(norms <= eps, 1.0 / eps, 1.0 / np.where(norms > 0, norms, 1.0))
+    return feature_vjp(y, stack, features * scale[:, None], pre)
 
 
 def power_iteration(apply, v: np.ndarray, power_iters: int,
@@ -246,33 +217,26 @@ def power_iteration(apply, v: np.ndarray, power_iters: int,
     return float(lam)
 
 
-def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int],
-                       seed: int = 0, power_iters: int = 30,
-                       curvature: float | None = None):
+def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     """Estimate of the Lipschitz constant of the smoothed-regularizer gradient,
     as a function of the smoothing half-width eps.
 
-    sqrt(m)*L_g + M^2/eps, where M is a power-iteration estimate of the
-    spectral norm of the extractor's Jacobian at a random probe and L_g is
-    a curvature constant for the extractor (0 for a single linear layer;
-    otherwise max|a''| = 1/(2*delta) times the product of layer Frobenius
-    norms, overridable via ``curvature``). Neither depends on eps, so the
-    power iteration runs once for every eps the returned function is given.
+    sqrt(m)*L_g + M^2/eps, where M is the spectral norm of the extractor's
+    Jacobian, estimated by 30 power-iteration steps at a random probe
+    (seed 0), and L_g is a curvature constant for the extractor (0 for a
+    single linear layer; otherwise max|a''| = 1/(2*delta) times the product
+    of layer Frobenius norms). Neither depends on eps, so the power
+    iteration runs once for every eps the returned function is given.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     y = rng.standard_normal(probe_shape)
-    _, cache = feature_forward(y, stack, with_cache=True)
+    _, pre = feature_forward(y, stack)
     m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
-        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, cache=cache), cache=cache),
-        rng.standard_normal(probe_shape), power_iters)
-    if curvature is None:
-        if stack.n_layers == 1:
-            curvature = 0.0
-        else:
-            prod = 1.0
-            for w in stack.layers:
-                prod *= float(np.linalg.norm(w))
-            curvature = prod / (2.0 * stack.activation_delta)
+        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, pre), pre),
+        rng.standard_normal(probe_shape), 30)
+    curvature = 0.0 if stack.n_layers == 1 else (
+        math.prod(float(np.linalg.norm(w)) for w in stack.layers)
+        / (2.0 * stack.activation_delta))
     curvature_term = np.sqrt(probe_shape[0] * probe_shape[1]) * curvature
 
     def at(eps: float) -> float:

@@ -130,7 +130,7 @@ def initialize(s: Sinogram, geo: ScanGeometry, mask: ViewMask) -> DualState:
     """
     if not np.array_equal(s.view_indices, mask.indices()):
         raise ConfigError("measurement does not conform to the mask")
-    z0 = upsample_sinogram_linear(s, geo.n_views_full)
+    z0 = upsample_sinogram_linear(s)
     x0 = fbp_reconstruct(z0, geo)
     x0 = Image(geo.grid, np.maximum(x0.values, 0.0))
     return DualState(x0, z0)

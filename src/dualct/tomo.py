@@ -99,17 +99,6 @@ class ScanGeometry:
     def angles_array(self) -> np.ndarray:
         return np.asarray(self.angles, dtype=float)
 
-    def fingerprint(self) -> tuple:
-        return (
-            self.kind,
-            self.angles,
-            self.n_dets,
-            self.det_spacing,
-            self.grid,
-            self.source_radius,
-            self.source_to_detector,
-        )
-
 
 def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
     """Evenly spaced parallel-beam geometry covering [0, pi).
@@ -318,7 +307,7 @@ def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
 # Matrices of the most recently used geometries; a 128^2 matrix with 180
 # views takes about 46 MB, so a process sweeping geometries keeps only a few.
 _MATRIX_CACHE_SIZE = 4
-_MATRIX_CACHE: dict[tuple, sp.csr_matrix] = {}
+_MATRIX_CACHE: dict[tuple[ScanGeometry, int], sp.csr_matrix] = {}
 
 
 def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
@@ -331,7 +320,7 @@ def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
     """
     if supersample < 1:
         raise ConfigError("supersample must be >= 1")
-    key = geo.fingerprint() + (supersample,)
+    key = (geo, supersample)
     cached = _MATRIX_CACHE.pop(key, None)
     if cached is not None:
         _MATRIX_CACHE[key] = cached
@@ -384,9 +373,7 @@ def back_project(sino: Sinogram, geo: ScanGeometry, supersample: int = 1) -> Ima
     if sino.geometry != geo:
         raise ConfigError("sinogram geometry does not match")
     a = system_matrix(geo, supersample)
-    full = np.zeros((geo.n_views_full, geo.n_dets))
-    full[sino.view_indices] = sino.values
-    vals = a.T @ full.ravel()
+    vals = a.T @ zero_fill_views(sino).values.ravel()
     return Image(geo.grid, vals.reshape(geo.grid.shape))
 
 
@@ -412,17 +399,15 @@ def zero_fill_views(sparse: Sinogram) -> Sinogram:
     return Sinogram(geo, np.arange(geo.n_views_full), full)
 
 
-def upsample_sinogram_linear(sparse: Sinogram, n_views_full: int | None = None) -> Sinogram:
-    """Per-detector-bin linear interpolation along the view axis.
+def upsample_sinogram_linear(sparse: Sinogram) -> Sinogram:
+    """Per-detector-bin linear interpolation along the view axis, onto
+    every view of the sinogram's geometry.
 
     Views are treated as periodic in the angular index; retained views are
     reproduced exactly.
     """
     geo = sparse.geometry
-    if n_views_full is None:
-        n_views_full = geo.n_views_full
-    if n_views_full != geo.n_views_full:
-        raise ConfigError("target view count must match the geometry")
+    n_views_full = geo.n_views_full
     if sparse.n_views < 2:
         raise InputError("need at least 2 views to interpolate")
     sel = sparse.view_indices.astype(float)

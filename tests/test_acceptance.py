@@ -180,7 +180,7 @@ class TestCriterion3SmoothingGap:
             for eps in (1.0, 0.1, 0.01):
                 for _ in range(20):
                     y = 2.0 * rng.standard_normal(shape)
-                    gap = (l21_norm(feature_forward(y, stack))
+                    gap = (l21_norm(feature_forward(y, stack)[0])
                            - smoothed_value(y, stack, eps))
                     worst_low = min(worst_low, gap)
                     worst_high = max(worst_high, gap - m * eps / 2)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from dualct import io
-from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, main
+from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, cmd_weights, main
+from dualct.errors import ConfigError
+from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
+
+
+ABSENT = object()  # an override value that drops the section
 
 
 def write_config(tmp_path, **overrides):
@@ -26,6 +31,7 @@ def write_config(tmp_path, **overrides):
         "output": str(tmp_path / "out"),
     }
     cfg.update(overrides)
+    cfg = {key: val for key, val in cfg.items() if val is not ABSENT}
     path = tmp_path / "run.yaml"
     import yaml
     path.write_text(yaml.safe_dump(cfg))
@@ -102,6 +108,24 @@ class TestWeightsCommand:
         stack = load_weights(rnd_path)
         assert stack.layers[0].shape[2:] == (3, 15)
 
+    @pytest.mark.parametrize("kind, domain, expected", [
+        ("tv", "image", lambda: make_tv_weights("image")),
+        ("tv", "sinogram", lambda: make_tv_weights("sinogram")),
+        ("random", "image", lambda: make_random_weights(5, kernel=(3, 3))),
+        ("random", "sinogram", lambda: make_random_weights(5, kernel=(3, 15))),
+    ])
+    def test_bytes_match_direct_construction(self, tmp_path, kind, domain, expected):
+        out, ref = tmp_path / "cli.bin", tmp_path / "ref.bin"
+        assert main(["weights", "--kind", kind, "--out", str(out),
+                     "--domain", domain, "--seed", "5"]) == 0
+        save_weights(expected(), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["none", "file", "bogus"])
+    def test_unknown_kind(self, tmp_path, kind):
+        with pytest.raises(ConfigError):
+            cmd_weights(kind, tmp_path / "w.bin")
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
@@ -140,6 +164,17 @@ class TestExitCodes:
         ("grid.nx", {"geometry": {"grid": {"nx": 16.7, "ny": 16}, "n_views": 24, "n_dets": 23}}),
         ("regularizers.image.channels",
          {"regularizers": {"image": {"source": "random", "channels": "abc"}}}),
+        ("geometry", {"geometry": ABSENT}),
+        ("geometry.grid", {"geometry": {"grid": 5, "n_views": 24, "n_dets": 23}}),
+        ("mask.selected", {"mask": {"selected": 3}}),
+        ("noise", {"noise": 5}),
+        ("phantom", {"phantom": 7}),
+        ("regularizers", {"regularizers": ["tv"]}),
+        ("regularizers.image", {"regularizers": {"image": "tv"}}),
+        ("phantom.ellipses", {"phantom": {"kind": "custom-ellipses", "ellipses": [5]}}),
+        ("phantom.ellipses", {"phantom": {"kind": "custom-ellipses", "ellipses": 5}}),
+        ("solver", {"solver": [1]}),
+        ("mode", {"mode": "phases"}),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path, **overrides)

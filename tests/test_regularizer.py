@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dualct.errors import ConfigError, FormatError, InputError
-from dualct.regularizer import (ConvStack, FeatureField, feature_forward,
+from dualct import regularizer
+from dualct.regularizer import (ConvStack, feature_forward,
                                 feature_jvp, feature_vjp, l21_norm,
                                 lipschitz_estimate, load_weights,
                                 make_random_weights, make_tv_weights,
@@ -69,7 +70,7 @@ class TestConvStackValidation:
 class TestFeatureExtractor:
     def test_tv_weights_match_forward_differences(self, rng):
         y = rng.standard_normal((9, 7))
-        field = feature_forward(y, make_tv_weights())
+        features, _ = feature_forward(y, make_tv_weights())
         dh = np.zeros_like(y)
         dh[:, :-1] = y[:, 1:] - y[:, :-1]
         dh[:, -1] = -y[:, -1]  # zero padding beyond the far edge
@@ -77,16 +78,17 @@ class TestFeatureExtractor:
         dv[:-1] = y[1:] - y[:-1]
         dv[-1] = -y[-1]
         expected = np.stack([dh.ravel(), dv.ravel()], axis=1)
-        np.testing.assert_allclose(field.values, expected, atol=1e-14)
+        np.testing.assert_allclose(features, expected, atol=1e-14)
 
     def test_vjp_is_adjoint_of_jvp(self, rng):
         stack = make_random_weights(3, n_layers=2, n_channels=4)
         y = rng.standard_normal((10, 8))
+        _, pre = feature_forward(y, stack)
         for _ in range(20):
             v = rng.standard_normal(y.shape)
             u = rng.standard_normal((y.size, stack.out_channels))
-            jv = feature_jvp(y, stack, v)
-            jtu = feature_vjp(y, stack, u)
+            jv = feature_jvp(y, stack, v, pre)
+            jtu = feature_vjp(y, stack, u, pre)
             lhs = np.sum(jv * u)
             rhs = np.sum(v * jtu)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -96,13 +98,13 @@ class TestFeatureExtractor:
         y = rng.standard_normal((7, 9))
         v = rng.standard_normal(y.shape)
         eps = 0.05
-        field, cache = feature_forward(y, stack, with_cache=True)
-        np.testing.assert_array_equal(feature_jvp(y, stack, v, cache=cache),
-                                      feature_jvp(y, stack, v))
-        assert (smoothed_value(y, stack, eps, field=field)
+        forward = feature_forward(y, stack)
+        np.testing.assert_array_equal(feature_jvp(y, stack, v, forward[1]),
+                                      feature_jvp(y, stack, v, feature_forward(y, stack)[1]))
+        assert (smoothed_value(y, stack, eps, forward=forward)
                 == smoothed_value(y, stack, eps))
         np.testing.assert_array_equal(
-            smoothed_grad(y, stack, eps, forward=(field, cache)),
+            smoothed_grad(y, stack, eps, forward=forward),
             smoothed_grad(y, stack, eps))
 
     def test_jvp_matches_finite_differences(self, rng):
@@ -110,19 +112,48 @@ class TestFeatureExtractor:
         y = rng.standard_normal((8, 8))
         v = rng.standard_normal((8, 8))
         h = 1e-6
-        fplus = feature_forward(y + h * v, stack).values
-        fminus = feature_forward(y - h * v, stack).values
+        fplus, _ = feature_forward(y + h * v, stack)
+        fminus, _ = feature_forward(y - h * v, stack)
         fd = (fplus - fminus) / (2 * h)
-        np.testing.assert_allclose(feature_jvp(y, stack, v), fd, atol=1e-6)
+        _, pre = feature_forward(y, stack)
+        np.testing.assert_allclose(feature_jvp(y, stack, v, pre), fd, atol=1e-6)
 
     def test_cotangent_shape_checked(self, rng):
         stack = make_tv_weights()
+        y = rng.standard_normal((6, 6))
+        _, pre = feature_forward(y, stack)
         with pytest.raises(InputError):
-            feature_vjp(rng.standard_normal((6, 6)), stack, np.zeros((36, 5)))
+            feature_vjp(y, stack, np.zeros((36, 5)), pre)
 
-    def test_feature_field_shape_checked(self):
-        with pytest.raises(InputError):
-            FeatureField((4, 4), np.zeros((15, 2)))
+
+def _conv_layer_transpose_reference(g, w):
+    """The transposed conv pass written out with ``ndimage.convolve``:
+    g (out_c, H, W) -> (in_c, H, W), summing over output channels in order."""
+    from scipy import ndimage
+    out = np.empty((w.shape[1],) + g.shape[1:])
+    for i in range(w.shape[1]):
+        acc = ndimage.convolve(g[0], w[0, i], mode="constant")
+        for o in range(1, w.shape[0]):
+            acc += ndimage.convolve(g[o], w[o, i], mode="constant")
+        out[i] = acc
+    return out
+
+
+class TestTransposedConv:
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 15), (5, 3), (3, 1)])
+    @pytest.mark.parametrize("in_c, out_c", [(1, 1), (1, 16), (8, 8), (16, 3)])
+    def test_bytes_match_convolve(self, rng, kernel, in_c, out_c):
+        w = rng.standard_normal((out_c, in_c) + kernel)
+        w[rng.random(w.shape) < 0.3] = 0.0  # zero taps
+        g = rng.standard_normal((out_c, 9, 17))
+        got = regularizer._conv_layer_adjoint(g, w)
+        assert got.tobytes() == _conv_layer_transpose_reference(g, w).tobytes()
+
+    def test_tv_bytes_match_convolve(self, rng):
+        w = make_tv_weights(scale=0.7).layers[0]
+        g = rng.standard_normal((2, 12, 10))
+        got = regularizer._conv_layer_adjoint(g, w)
+        assert got.tobytes() == _conv_layer_transpose_reference(g, w).tobytes()
 
 
 class TestSmoothedRegularizer:
@@ -131,7 +162,7 @@ class TestSmoothedRegularizer:
         for eps in (1.0, 0.1, 0.01):
             for _ in range(10):
                 y = rng.standard_normal((9, 9)) * 2.0
-                exact = l21_norm(feature_forward(y, stack))
+                exact = l21_norm(feature_forward(y, stack)[0])
                 smooth = smoothed_value(y, stack, eps)
                 m = y.size
                 assert -1e-12 <= exact - smooth <= m * eps / 2 + 1e-12
