@@ -2,7 +2,7 @@
 
 Every command reads the YAML run config, writes its declared artifacts
 into the output directory, and prints a one-line summary. Exit codes:
-0 success, 2 config error, 3 I/O error, 4 numerical/solver error.
+0 success, 2 config error, 3 I/O error or bad input data, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, metrics as metrics_mod
-from .errors import ConfigError, FormatError, NumericalError, SolverError
+from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
 from .objective import DualState, ProblemSpec
 from .regularizer import save_weights
 from .simdata import initialize, make_phantom, simulate_measurement
@@ -28,27 +28,24 @@ EXIT_NUMERICAL = 4
 
 
 class _Setup:
-    """Everything derivable from one run config."""
+    """Everything derivable from one run config; every section is read and
+    checked on construction, so a bad key fails every command alike."""
 
     def __init__(self, config_path):
         self.config_path = Path(config_path)
-        self.cfg = io.load_config(self.config_path)
-        if "geometry" not in self.cfg:
-            raise ConfigError("config needs a 'geometry' section")
-        self.geometry = io.geometry_from_config(self.cfg["geometry"])
-        self.mask = io.mask_from_config(self.cfg.get("mask", {"n_keep": self.geometry.n_views_full}),
-                                        self.geometry.n_views_full)
-        self.noise = io.noise_from_config(self.cfg.get("noise"))
-        regs = io.config_mapping(self.cfg.get("regularizers"), "regularizers")
+        cfg = io.load_config(self.config_path)
+        self.geometry = io.geometry_from_config(cfg.get("geometry"))
+        n_views = self.geometry.n_views_full
+        self.mask = io.mask_from_config(cfg.get("mask", {"n_keep": n_views}), n_views)
+        self.phantom = io.phantom_from_config(cfg.get("phantom"), self.geometry.grid)
+        self.noise = io.noise_from_config(cfg.get("noise"))
+        regs = io.read_section(cfg.get("regularizers"), "regularizers",
+                               dict.fromkeys(("image", "sinogram")))
         self.image_weights = io.weights_from_config(regs.get("image"), "image")
         self.sino_weights = io.weights_from_config(regs.get("sinogram"), "sinogram")
-        self.lam = io.config_float(self.cfg.get("lambda", 10.0), "lambda")
-        self.params = io.solver_params_from_config(self.cfg.get("solver"),
-                                                   self.cfg.get("mode"))
-        self.out_dir = Path(self.cfg.get("output", "."))
-
-    def phantom_spec(self):
-        return io.phantom_from_config(self.cfg.get("phantom"), self.geometry.grid)
+        self.lam = cfg.get("lambda", ProblemSpec.lam)
+        self.params = io.solver_params_from_config(cfg.get("solver"), cfg.get("mode"))
+        self.out_dir = Path(cfg.get("output", "."))
 
     def out(self, name) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -72,7 +69,7 @@ def _load_sparse(setup: _Setup) -> Sinogram:
 
 
 def cmd_phantom(setup: _Setup) -> str:
-    img = make_phantom(setup.phantom_spec())
+    img = make_phantom(setup.phantom)
     io.save_image(setup.out("phantom.f64"), img)
     io.export_pgm(setup.out("phantom.pgm"), img.values)
     return f"phantom {img.grid.nx}x{img.grid.ny} -> {setup.out('phantom.f64')}"
@@ -135,7 +132,10 @@ def cmd_reconstruct(setup: _Setup) -> str:
 def cmd_metrics(test_path, ref_path, data_range=None, out_path=None) -> str:
     test, _ = io.load_array(test_path)
     ref, _ = io.load_array(ref_path)
-    rep = metrics_mod.report(test, ref, data_range=data_range)
+    try:
+        rep = metrics_mod.report(test, ref, data_range=data_range)
+    except InputError as exc:
+        raise InputError(f"{test_path} vs {ref_path}: {exc}") from None
     if out_path:
         rep.write_json(out_path)
     psnr_txt = "inf" if rep.psnr_db == float("inf") else f"{rep.psnr_db:.4f}"
@@ -145,7 +145,8 @@ def cmd_metrics(test_path, ref_path, data_range=None, out_path=None) -> str:
 def cmd_weights(kind, out_path, domain="image", seed=0) -> str:
     if kind not in ("tv", "random"):
         raise ConfigError(f"unknown weight kind {kind!r}")
-    stack = io.weights_from_config({"source": kind, "seed": seed}, domain)
+    cfg = {"source": kind, "seed": seed} if kind == "random" else {"source": kind}
+    stack = io.weights_from_config(cfg, domain)
     save_weights(stack, out_path)
     return f"{kind} weights ({stack.n_layers} layers, {stack.out_channels} ch) -> {out_path}"
 
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FormatError, FileNotFoundError, OSError) as exc:
+    except (FormatError, InputError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SolverError, NumericalError) as exc:

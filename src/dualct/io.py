@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import fields
 from numbers import Integral
 from pathlib import Path
 
@@ -43,15 +45,21 @@ def load_array(path):
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise FormatError(f"missing sidecar for {path}")
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
+    try:
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+        shape = list_of(config_int)(sidecar.get("shape"), "shape")
+    except (ValueError, AttributeError, ConfigError) as exc:  # not JSON, not a mapping
+        raise FormatError(f"bad sidecar {sidecar_path}: {exc}") from None
     raw = path.read_bytes()
-    shape = tuple(sidecar["shape"])
     expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
+    if len(raw) != expected or min(shape, default=0) < 0:
         raise FormatError(
             f"payload size {len(raw)} does not match shape {shape}", offset=len(raw))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), sidecar
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path} holds non-finite values")
+    return values, sidecar
 
 
 def save_image(path, img: Image) -> None:
@@ -94,14 +102,15 @@ def export_pgm(path, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict:
+    """The run config's root section, read (nested sections left as they are)."""
     try:
         with open(str(path)) as fh:
             cfg = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise FormatError(f"malformed config: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    return cfg
+    return read_section(cfg, "", {**dict.fromkeys(("geometry", "mask", "phantom", "noise",
+                                                   "regularizers", "solver", "mode")),
+                                  "lambda": config_float, "output": config_str})
 
 
 def config_hash(path) -> str:
@@ -109,12 +118,15 @@ def config_hash(path) -> str:
 
 
 def config_float(value, key: str) -> float:
-    """A config number as a float; strings such as ``1e5``, which YAML 1.1
-    loads as strings, convert too."""
+    """A finite config number as a float; strings such as ``1e5``, which
+    YAML 1.1 loads as strings, convert too. Bools are rejected."""
     try:
-        return float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def config_int(value, key: str) -> int:
@@ -124,130 +136,122 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
-def config_mapping(value, key: str) -> dict:
-    """A config section; an absent (null) section reads as ``{}``."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+def config_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def config_list(value, key: str) -> list:
-    """A config sequence."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
+def list_of(item, length: int | None = None):
+    """Value reader of a config list, read as a tuple of ``item`` values;
+    ``length``, when given, is the required number of entries."""
+    def read(value, key: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            raise ConfigError(f"{key} must be a list{f' of {length}' if length else ''}, "
+                              f"got {value!r}")
+        return tuple(item(v, key) for v in value)
+    return read
 
 
-def grid_from_config(cfg: dict) -> GridSpec:
-    cfg = config_mapping(cfg, "geometry.grid")
-    try:
-        nx, ny = config_int(cfg["nx"], "grid.nx"), config_int(cfg["ny"], "grid.ny")
-    except KeyError as exc:
-        raise ConfigError(f"grid config missing key {exc}") from exc
-    origin = cfg.get("origin", (0.0, 0.0))
-    if not isinstance(origin, (list, tuple)) or len(origin) != 2:
-        raise ConfigError(f"grid.origin must be a pair of numbers, got {origin!r}")
-    return GridSpec(nx, ny, config_float(cfg.get("pixel_size", 1.0), "grid.pixel_size"),
-                    tuple(config_float(v, "grid.origin") for v in origin))
+def read_section(cfg, key: str, fields: dict, required=()) -> dict:
+    """Section ``key`` (a dotted path, "" for the root) read through
+    ``fields``, which maps each key it may hold to ``reader(value, dotted_key)``
+    or to None (a nested section, kept as it is). Null reads as ``{}``; a
+    non-mapping, an unknown or a missing required key is a ConfigError.
+    Absent keys are left out, so the defaults of what is built from it apply."""
+    if cfg is None:
+        cfg = {}
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{key or 'config root'} must be a mapping, got {cfg!r}")
+    prefix = f"{key}." if key else ""
+    for name in cfg:
+        if name not in fields:
+            raise ConfigError(f"unknown key {prefix}{name} (known: {', '.join(fields)})")
+    for name in required:
+        if name not in cfg:
+            raise ConfigError(f"{key or 'config'} needs {name!r}")
+    return {name: fields[name](value, prefix + name) if fields[name] else value
+            for name, value in cfg.items()}
 
 
-def geometry_from_config(cfg: dict) -> ScanGeometry:
-    cfg = config_mapping(cfg, "geometry")
-    try:
-        grid = grid_from_config(cfg["grid"])
-        kind = cfg.get("kind", "parallel")
-        n_views = config_int(cfg["n_views"], "geometry.n_views")
-        n_dets = config_int(cfg["n_dets"], "geometry.n_dets")
-    except KeyError as exc:
-        raise ConfigError(f"geometry config missing key {exc}") from exc
-
-    def optional_float(key):
-        value = cfg.get(key)
-        return None if value is None else config_float(value, f"geometry.{key}")
-
-    spacing = optional_float("det_spacing")
-    if kind == "parallel":
-        return parallel_geometry(n_views, n_dets, grid, det_spacing=spacing)
-    if kind in ("fan", "fan-beam-equiangular"):
-        return fan_geometry(n_views, n_dets, grid, det_spacing=spacing,
-                            source_radius=optional_float("source_radius"),
-                            source_to_detector=optional_float("source_to_detector"))
-    raise ConfigError(f"unknown geometry kind {kind!r}")
+def _read_variant(cfg, key: str, selector: str, default: str, variants: dict,
+                  required=()) -> dict:
+    """A section read with the table ``variants[cfg[selector]]``, so keys
+    that variant does not read are unknown; the result holds the selector."""
+    kind = config_str(cfg.get(selector, default) if isinstance(cfg, dict) else default,
+                      f"{key}.{selector}")
+    if kind not in variants:
+        raise ConfigError(f"unknown {key}.{selector} {kind!r} (known: {', '.join(variants)})")
+    return {**read_section(cfg, key, {selector: config_str, **variants[kind]}, required),
+            selector: kind}
 
 
-def mask_from_config(cfg: dict, n_views_full: int) -> ViewMask:
-    cfg = config_mapping(cfg, "mask")
-    if "selected" in cfg:
-        selected = tuple(config_int(i, "mask.selected")
-                         for i in config_list(cfg["selected"], "mask.selected"))
-        return ViewMask(n_views_full, selected)
-    if "n_keep" in cfg:
-        return uniform_mask(n_views_full, config_int(cfg["n_keep"], "mask.n_keep"))
-    raise ConfigError("mask config needs 'n_keep' or 'selected'")
+def grid_from_config(cfg, key: str = "geometry.grid") -> GridSpec:
+    return GridSpec(**read_section(cfg, key, {
+        "nx": config_int, "ny": config_int, "pixel_size": config_float,
+        "origin": list_of(config_float, 2)}, required=("nx", "ny")))
 
 
-def phantom_from_config(cfg: dict, grid: GridSpec) -> PhantomSpec:
-    cfg = config_mapping(cfg, "phantom")
-    ellipses = tuple(tuple(config_float(v, "phantom.ellipses")
-                           for v in config_list(e, "phantom.ellipses"))
-                     for e in config_list(cfg.get("ellipses", ()), "phantom.ellipses"))
-    return PhantomSpec(cfg.get("kind", "shepp-logan-modified"), grid, ellipses)
+def geometry_from_config(cfg) -> ScanGeometry:
+    parallel = {"grid": grid_from_config, "n_views": config_int, "n_dets": config_int,
+                "det_spacing": config_float}
+    fan = {**parallel, "source_radius": config_float, "source_to_detector": config_float}
+    args = _read_variant(cfg, "geometry", "kind", "parallel", {
+        "parallel": parallel, "fan": fan, "fan-beam-equiangular": fan},
+        required=("grid", "n_views", "n_dets"))
+    return (parallel_geometry if args.pop("kind") == "parallel" else fan_geometry)(**args)
 
 
-def noise_from_config(cfg: dict | None) -> NoiseSpec:
-    cfg = config_mapping(cfg, "noise")
-    if not cfg:
-        return NoiseSpec()
-    return NoiseSpec(model=cfg.get("model", "none"),
-                     sigma=config_float(cfg.get("sigma", 0.0), "noise.sigma"),
-                     photons=config_float(cfg.get("photons", 1e6), "noise.photons"),
-                     seed=config_int(cfg.get("seed", 0), "noise.seed"))
+def mask_from_config(cfg, n_views_full: int) -> ViewMask:
+    args = read_section(cfg, "mask", {"n_keep": config_int, "selected": list_of(config_int)})
+    if len(args) != 1:
+        raise ConfigError("mask needs exactly one of 'n_keep' or 'selected'")
+    if "selected" in args:
+        return ViewMask(n_views_full, args["selected"])
+    return uniform_mask(n_views_full, args["n_keep"])
 
 
-def weights_from_config(cfg: dict | None, domain: str) -> ConvStack | None:
+def phantom_from_config(cfg, grid: GridSpec) -> PhantomSpec:
+    ellipses = {"ellipses": list_of(list_of(config_float))}
+    args = _read_variant(cfg, "phantom", "kind", "shepp-logan-modified", {
+        "shepp-logan-modified": {}, "disk": ellipses, "custom-ellipses": ellipses})
+    return PhantomSpec(grid=grid, **args)
+
+
+def noise_from_config(cfg) -> NoiseSpec:
+    return NoiseSpec(**_read_variant(cfg, "noise", "model", NoiseSpec.model, {
+        "none": {}, "gaussian": {"sigma": config_float, "seed": config_int},
+        "poisson-transmission": {"photons": config_float, "seed": config_int}}))
+
+
+def weights_from_config(cfg, domain: str) -> ConvStack | None:
     """Regularizer weight source: tv | random | file | none."""
-    key = f"regularizers.{domain}"
-    cfg = config_mapping(cfg, key)
-    if not cfg:
-        return None
-    source = cfg.get("source", "none")
-    if source == "none":
-        return None
+    random = {"seed": config_int, "layers": config_int, "channels": config_int,
+              "kernel": list_of(config_int, 2)}
+    args = _read_variant(cfg, f"regularizers.{domain}", "source", "none", {
+        "none": {}, "tv": {}, "file": {"path": config_str}, "random": random})
+    source = args.pop("source")
     if source == "tv":
         return make_tv_weights(domain)
-    if source == "random":
-        kernel = cfg.get("kernel", (3, 3) if domain == "image" else (3, 15))
-        if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
-            raise ConfigError(f"{key}.kernel must be a pair of integers, got {kernel!r}")
-        return make_random_weights(config_int(cfg.get("seed", 0), f"{key}.seed"),
-                                   n_layers=config_int(cfg.get("layers", 3), f"{key}.layers"),
-                                   n_channels=config_int(cfg.get("channels", 16), f"{key}.channels"),
-                                   kernel=tuple(config_int(k, f"{key}.kernel") for k in kernel))
     if source == "file":
-        if "path" not in cfg:
-            raise ConfigError(f"{domain} weights: file source needs 'path'")
-        return load_weights(cfg["path"])
-    raise ConfigError(f"unknown weight source {source!r}")
+        if "path" not in args:
+            raise ConfigError(f"regularizers.{domain} needs 'path' for source file")
+        return load_weights(args["path"])
+    if source == "random":
+        names = {"layers": "n_layers", "channels": "n_channels"}
+        return make_random_weights(**{"kernel": (3, 3) if domain == "image" else (3, 15),
+                                      **{names.get(k, k): v for k, v in args.items()}})
+    return None
 
 
-def solver_params_from_config(cfg: dict | None, mode: dict | None = None) -> SolverParams:
-    cfg = config_mapping(cfg, "solver")
-    mode = config_mapping(mode, "mode")
-    params = SolverParams()
-    if cfg:
-        valid = set(SolverParams.__dataclass_fields__)
-        for key, val in cfg.items():
-            if key not in valid:
-                raise ConfigError(f"unknown solver parameter {key!r}")
-            setattr(params, key, val)
-    if mode:
-        mtype = mode.get("type", "converge")
-        if mtype == "phases":
-            params.phase_mode = True
-            params.phases = mode.get("phases", 15)
-        elif mtype != "converge":
-            raise ConfigError(f"unknown mode {mtype!r}")
+def solver_params_from_config(cfg, mode=None) -> SolverParams:
+    """Solver knobs, then the run mode. ``mode: {type: phases, phases: N}``
+    runs exactly N iterations: max_iters=N with the tolerance stop off."""
+    params = SolverParams(**read_section(cfg, "solver", {
+        f.name: config_int if f.type == "int" else config_float for f in fields(SolverParams)}))
+    mode = _read_variant(mode, "mode", "type", "converge",
+                         {"converge": {}, "phases": {"phases": config_int}})
+    if mode["type"] == "phases":
+        params.max_iters, params.eps_tol = mode.get("phases", 15), 0.0
     params.validate()
     return params

@@ -276,7 +276,7 @@ def make_zero_weights(n_channels: int = 1, kernel: tuple[int, int] = (3, 3)) -> 
     return ConvStack((np.zeros((n_channels, 1) + kernel),))
 
 
-def make_random_weights(seed: int, n_layers: int = 3, n_channels: int = 16,
+def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,
                         kernel: tuple[int, int] = (3, 3), scale: float = 0.1,
                         activation_delta: float = 0.01) -> ConvStack:
     """Deterministic random stack; identical for identical seeds."""

@@ -53,16 +53,14 @@ class SolverParams:
     eps_tol: float = 1e-4
     max_iters: int = 1000
     max_backtracks: int = 60
-    phase_mode: bool = False
-    phases: int = 15
 
     def validate(self) -> None:
         """Check types and ranges; float knobs are converted with float()."""
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type in ("int", "bool"):
-                if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, Integral):
-                    raise ConfigError(f"{f.name} must be of type {f.type}, got {v!r}")
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, Integral):
+                    raise ConfigError(f"{f.name} must be an integer, got {v!r}")
             elif v is not None or f.type == "float":
                 try:
                     setattr(self, f.name, float(v))
@@ -88,7 +86,7 @@ class SolverParams:
             raise ConfigError("sigma must be positive")
         if not self.eps_tol >= 0:
             raise ConfigError("eps_tol must be nonnegative")
-        if self.max_iters < 0 or self.max_backtracks < 1 or self.phases < 0:
+        if self.max_iters < 0 or self.max_backtracks < 1:
             raise ConfigError("iteration counts out of range")
 
 
@@ -248,8 +246,9 @@ def _check_backtrack_budget(lip: LipschitzConstants, params: SolverParams) -> No
 
 def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     """Iterate until max_iters, or until eps <= eps_tol with a gradient norm
-    below the reduction threshold. Returns (final state, IterateLog); a step
-    that fails numerically raises SolverError carrying the log so far."""
+    below the reduction threshold (never when eps_tol is 0). Returns (final
+    state, IterateLog); a step that fails numerically raises SolverError
+    carrying the log so far."""
     params.validate()
     point = evaluate(init, spec)
     lip = lipschitz_constants(spec)
@@ -257,12 +256,11 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     log = IterateLog()
     eps = params.eps0
     steps = resolve_steps(lip, params, eps)
-    n_iters = params.phases if params.phase_mode else params.max_iters
     # Every iteration needs the gradient at its start point (EDC bound or
     # safeguard z-step); later start points keep it from the smoothing update.
     point.grad(eps)
 
-    for k in range(n_iters):
+    for k in range(params.max_iters):
         try:
             cand = candidate_step(point, steps, eps)
             if edc_check(point, cand, params, eps):
@@ -281,8 +279,7 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
             alpha_used=a_used, beta_used=b_used,
             eps_reduced=eps_next != eps))
         point = new
-        if (not params.phase_mode and eps <= params.eps_tol
-                and gnorm < params.sigma * params.gamma * eps):
+        if eps <= params.eps_tol and gnorm < params.sigma * params.gamma * eps:
             break
         if eps_next != eps:
             eps = eps_next

@@ -205,18 +205,14 @@ class ViewMask:
 
 
 def uniform_mask(n_views_full: int, n_keep: int) -> ViewMask:
-    """Keep ``n_keep`` uniformly strided views out of ``n_views_full``.
-
-    When the stride does not divide evenly the nearest round-robin indices
-    are used.
+    """Keep ``n_keep`` uniformly strided views out of ``n_views_full``: view
+    ``round(i * n_views_full / n_keep)`` for i < n_keep (an exact stride when
+    it divides evenly; the indices never repeat because the stride is >= 1).
     """
     if n_keep < 1 or n_keep > n_views_full:
         raise ConfigError(f"cannot keep {n_keep} of {n_views_full} views")
-    if n_views_full % n_keep == 0:
-        idx = np.arange(n_keep) * (n_views_full // n_keep)
-    else:
-        idx = np.unique(np.round(np.arange(n_keep) * n_views_full / n_keep).astype(int))
-    return ViewMask(n_views_full, tuple(int(i) for i in idx))
+    idx = np.round(np.arange(n_keep) * n_views_full / n_keep).astype(int)
+    return ViewMask(n_views_full, tuple(idx.tolist()))
 
 
 # ---------------------------------------------------------------------------

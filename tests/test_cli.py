@@ -1,19 +1,29 @@
+import copy
 import json
+import math
+import re
+import string
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dualct import io
-from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, cmd_weights, main
+from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
 from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
+from dualct.solver import SolverParams
 
 
 ABSENT = object()  # an override value that drops the section
 
 
-def write_config(tmp_path, **overrides):
-    cfg = {
+def base_config(tmp_path):
+    return {
         "geometry": {
             "grid": {"nx": 16, "ny": 16, "pixel_size": 0.125},
             "kind": "parallel",
@@ -30,10 +40,12 @@ def write_config(tmp_path, **overrides):
         "solver": {"max_iters": 20},
         "output": str(tmp_path / "out"),
     }
-    cfg.update(overrides)
+
+
+def write_config(tmp_path, **overrides):
+    cfg = {**base_config(tmp_path), **overrides}
     cfg = {key: val for key, val in cfg.items() if val is not ABSENT}
     path = tmp_path / "run.yaml"
-    import yaml
     path.write_text(yaml.safe_dump(cfg))
     return path
 
@@ -175,6 +187,19 @@ class TestExitCodes:
         ("phantom.ellipses", {"phantom": {"kind": "custom-ellipses", "ellipses": 5}}),
         ("solver", {"solver": [1]}),
         ("mode", {"mode": "phases"}),
+        ("output", {"output": 5}),
+        ("lamda", {"lamda": 0.5}),
+        ("noise.sigm", {"noise": {"sigm": 0.5}}),
+        ("noise.sigma", {"noise": {"model": "poisson-transmission", "sigma": 0.5}}),
+        ("geometry.det_spacng", {"geometry": {"grid": {"nx": 16, "ny": 16}, "n_views": 24,
+                                              "n_dets": 23, "det_spacng": 0.5}}),
+        ("geometry.source_radius", {"geometry": {"grid": {"nx": 16, "ny": 16}, "n_views": 24,
+                                                 "n_dets": 23, "source_radius": 3.0}}),
+        ("regularizers.image.layers",
+         {"regularizers": {"image": {"source": "tv", "layers": 2}}}),
+        ("mode.phases", {"mode": {"type": "converge", "phases": 3}}),
+        ("phantom.ellipses", {"phantom": {"ellipses": [[1.0, 0.5, 0.5, 0.0, 0.0, 0.0]]}}),
+        ("mask", {"mask": {"n_keep": 8, "selected": [0, 3]}}),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -192,6 +217,162 @@ class TestExitCodes:
             assert main(["reconstruct", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "non-finite" in capsys.readouterr().err
         assert (tmp_path / "out" / "iterations.csv").exists()
+
+
+    @staticmethod
+    def _nan_payload(path):
+        values, _ = io.load_array(path)
+        values[0, 0] = np.nan
+        path.write_bytes(values.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("damage, message", [
+        (_nan_payload, "non-finite"),
+        (lambda p: Path(f"{p}.json").write_text("{not json"), "bad sidecar"),
+        (lambda p: Path(f"{p}.json").write_text('{"dtype": "<f8"}'), "shape must be a list"),
+    ])
+    def test_bad_array_file(self, tmp_path, capsys, damage, message):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        damage(tmp_path / "out" / "measured.f64")
+        assert main(["init", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and message in err and "measured.f64" in err
+
+    def test_single_view_mask_cannot_init(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mask={"n_keep": 1})
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        assert main(["init", "--config", str(cfg)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: need at least 2 views")
+
+    @pytest.mark.parametrize("test_shape, ref_shape, message", [
+        ((16, 16), (16, 12), "must share a shape"),
+        ((8, 8), (8, 8), "at least 11x11"),
+    ])
+    def test_metrics_bad_arrays(self, tmp_path, capsys, rng, test_shape, ref_shape, message):
+        io.save_array(tmp_path / "t.f64", rng.random(test_shape))
+        io.save_array(tmp_path / "r.f64", rng.random(ref_shape))
+        assert main(["metrics", "--test", str(tmp_path / "t.f64"),
+                     "--ref", str(tmp_path / "r.f64")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and message in err and "r.f64" in err
+
+
+# Every key name the run-config schema knows, in any section or variant.
+KNOWN_KEYS = {
+    "geometry", "mask", "phantom", "noise", "lambda", "regularizers", "solver", "mode",
+    "output", "grid", "kind", "n_views", "n_dets", "det_spacing", "source_radius",
+    "source_to_detector", "nx", "ny", "pixel_size", "origin", "n_keep", "selected",
+    "ellipses", "model", "sigma", "photons", "seed", "image", "sinogram", "source",
+    "layers", "channels", "kernel", "path", "type", "phases",
+} | {f.name for f in fields(SolverParams)}
+
+# Every section of the run config: root overrides that select a variant of
+# it with numeric keys, its dotted path, and those keys.
+SECTIONS = [
+    ({}, "", ["lambda"]),
+    ({}, "geometry", ["n_views", "n_dets", "det_spacing"]),
+    ({"geometry": {"grid": {"nx": 16, "ny": 16}, "kind": "fan", "n_views": 24, "n_dets": 23}},
+     "geometry", ["source_radius", "source_to_detector"]),
+    ({}, "geometry.grid", ["nx", "ny", "pixel_size", "origin"]),
+    ({}, "mask", ["n_keep", "selected"]),
+    ({}, "phantom", ["ellipses"]),
+    ({"noise": {"model": "gaussian"}}, "noise", ["sigma", "seed"]),
+    ({"noise": {"model": "poisson-transmission"}}, "noise", ["photons", "seed"]),
+    ({}, "regularizers", []),
+    ({"regularizers": {"image": {"source": "random"}}}, "regularizers.image",
+     ["seed", "layers", "channels", "kernel"]),
+    ({"regularizers": {"sinogram": {"source": "random"}}}, "regularizers.sinogram",
+     ["seed", "layers", "channels", "kernel"]),
+    ({}, "solver", [f.name for f in fields(SolverParams)]),
+    ({"mode": {"type": "phases"}}, "mode", ["phases"]),
+]
+
+
+def _not_a_number(text):
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+NON_NUMERIC = st.one_of(
+    st.text(string.printable, max_size=6).filter(_not_a_number), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, "nan", "-inf"]),
+    st.lists(st.text(string.ascii_letters, max_size=3), min_size=1, max_size=2))
+
+
+def dotted(section, key):
+    return f"{section}.{key}" if section else key
+
+
+def write_with(tmp_path, overrides, section, key, value):
+    """write_config with ``overrides`` and then ``key: value`` put into the
+    section at dotted path ``section``."""
+    cfg = {**base_config(tmp_path), **copy.deepcopy(overrides)}
+    node = cfg
+    for part in filter(None, section.split(".")):
+        node = node.setdefault(part, {})
+    node[key] = value
+    return write_config(tmp_path, **cfg)
+
+
+class TestConfigSchema:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(SECTIONS), st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True))
+    def test_unknown_key_named(self, tmp_path, capsys, section, name):
+        assume(name not in KNOWN_KEYS)
+        overrides, path, _ = section
+        cfg = write_with(tmp_path, overrides, path, name, 1)
+        assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"unknown key {dotted(path, name)} " in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([s for s in SECTIONS if s[2]]).flatmap(
+        lambda s: st.tuples(st.just(s), st.sampled_from(s[2]))), NON_NUMERIC)
+    def test_non_numeric_value_named(self, tmp_path, capsys, section_key, value):
+        (overrides, path, _), key = section_key
+        cfg = write_with(tmp_path, overrides, path, key, value)
+        assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and dotted(path, key) in err
+
+    def test_readme_run_config(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```yaml\n(# run\.yaml\n.*?)```", readme, re.S).group(1)
+        path = tmp_path / "run.yaml"
+        path.write_text(block)
+        setup = _Setup(path)
+        assert setup.geometry.n_views_full == 90 and setup.mask.n_selected == 30
+        assert setup.params.max_iters == 500
+
+    @pytest.mark.parametrize("source", ["tv", "random", "file", "none"])
+    @pytest.mark.parametrize("noise", [
+        {"model": "none"},
+        {"model": "gaussian", "sigma": 0.01, "seed": 1},
+        {"model": "poisson-transmission", "photons": 1e5, "seed": 2},
+    ], ids=lambda n: n["model"])
+    def test_pipeline_matrix(self, tmp_path, noise, source):
+        """Every noise model with every weight source, phantom through
+        reconstruct, 16x16 parallel beam."""
+        weights = {"tv": {"source": "tv"}, "none": {"source": "none"},
+                   "random": {"source": "random", "layers": 2, "channels": 2},
+                   "file": {"source": "file", "path": str(tmp_path / "w.bin")}}[source]
+        if source == "file":
+            assert main(["weights", "--kind", "tv", "--out", str(tmp_path / "w.bin")]) == 0
+        cfg = write_config(tmp_path, noise=noise, solver={"max_iters": 3},
+                           regularizers={"image": weights, "sinogram": weights})
+        for cmd in ("phantom", "simulate", "init", "reconstruct"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        recon, _ = io.load_array(tmp_path / "out" / "recon.f64")
+        assert recon.shape == (16, 16)
+        with open(tmp_path / "out" / "iterations.json") as fh:
+            log = json.load(fh)["iterations"]
+        assert len(log) == 3
+        assert all(rec["phi_after"] <= rec["phi_before"] for rec in log)
 
 
 class TestMetricsOutput:

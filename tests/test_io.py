@@ -35,6 +35,23 @@ class TestRawArrays:
         with pytest.raises(FormatError):
             io.load_array(path)
 
+    @pytest.mark.parametrize("sidecar", [
+        b"{not json", b"\xff\xfe", b"[]", b'{"dtype": "<f8"}', b'{"shape": "33"}',
+        b'{"shape": [3, 3.0]}', b'{"shape": [3, true]}', b'{"shape": [-3, -3]}',
+    ])
+    def test_bad_sidecar(self, tmp_path, sidecar):
+        path = tmp_path / "a.f64"
+        path.write_bytes(b"\x00" * 72)
+        (tmp_path / "a.f64.json").write_bytes(sidecar)
+        with pytest.raises(FormatError, match="sidecar|shape"):
+            io.load_array(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "a.f64"
+        io.save_array(path, np.array([[1.0, np.inf]]))
+        with pytest.raises(FormatError, match="a.f64 holds non-finite values"):
+            io.load_array(path)
+
     def test_image_roundtrip(self, tmp_path, rng):
         grid = GridSpec(6, 4, 0.5)
         img = Image(grid, rng.random((4, 6)))
@@ -135,7 +152,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             io.solver_params_from_config({"bogus_knob": 1})
         phased = io.solver_params_from_config(None, {"type": "phases", "phases": 5})
-        assert phased.phase_mode and phased.phases == 5
+        assert phased.max_iters == 5 and phased.eps_tol == 0.0
+        assert io.solver_params_from_config(None, {"type": "phases"}).max_iters == 15
         assert isinstance(io.solver_params_from_config(None), SolverParams)
 
     def test_solver_params_typed(self, tmp_path):
@@ -145,7 +163,7 @@ class TestConfig:
         params = io.solver_params_from_config(io.load_config(path)["solver"])
         assert params.eps_tol == 1e-3 and params.bar_alpha0 == 2.0
         for bad in ({"max_iters": 5.5}, {"max_iters": True}, {"max_iters": "10"},
-                    {"eps_tol": "small"}, {"rho": None}, {"phase_mode": 1}):
+                    {"eps_tol": "small"}, {"rho": None}):
             with pytest.raises(ConfigError):
                 io.solver_params_from_config(bad)
         for phases in (2.5, "3", False):
@@ -182,6 +200,12 @@ class TestConfig:
         for read, cfg in bad_cfgs:
             with pytest.raises(ConfigError):
                 read(cfg)
+
+    def test_config_float_finite_not_bool(self):
+        assert io.config_float("1e5", "k") == 1e5 and io.config_float(3, "k") == 3.0
+        for bad in (True, "nan", float("inf"), "-inf", None, "abc"):
+            with pytest.raises(ConfigError, match="k must be a finite number"):
+                io.config_float(bad, "k")
 
     def test_load_config_validation(self, tmp_path):
         path = tmp_path / "c.yaml"

@@ -40,8 +40,7 @@ class TestParams:
         ("gamma", 1.5), ("sigma", -1.0), ("eps0", 0.0), ("eps_tol", -1.0),
         ("alpha", -0.1), ("max_backtracks", 0), ("eps_tol", float("nan")),
         ("eps0", "abc"), ("alpha", [0.1]), ("max_iters", 5.5),
-        ("max_iters", True), ("max_backtracks", "60"), ("phases", None),
-        ("phase_mode", "yes"),
+        ("max_iters", True), ("max_backtracks", "60"),
     ])
     def test_invalid_rejected(self, field, value):
         params = SolverParams()
@@ -149,7 +148,7 @@ class TestRun:
 
     def test_phase_mode_iteration_count(self, rng):
         spec, init, _ = _problem(rng)
-        params = SolverParams(phase_mode=True, phases=7)
+        params = SolverParams(max_iters=7, eps_tol=0.0)
         _, log = run(spec, init, params)
         assert len(log) == 7
 

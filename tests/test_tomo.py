@@ -306,6 +306,17 @@ class TestViewMask:
         assert np.all(np.diff(mask.indices()) == 16)
         assert mask.n_selected == 64
 
+    def test_one_formula_matches_two_branch_reference(self):
+        def reference(n_views_full, n_keep):
+            # the exact-stride / rounded-and-deduplicated code uniform_mask replaced
+            if n_views_full % n_keep == 0:
+                return np.arange(n_keep) * (n_views_full // n_keep)
+            return np.unique(np.round(np.arange(n_keep) * n_views_full / n_keep).astype(int))
+
+        for n in range(1, 400):
+            for k in range(1, n + 1):
+                assert uniform_mask(n, k).selected == tuple(reference(n, k).tolist()), (n, k)
+
     def test_identity_mask_roundtrip(self, grid8, rng):
         geo = parallel_geometry(10, 9, grid8)
         sino = forward_project(Image(grid8, rng.random((8, 8))), geo)
