@@ -130,6 +130,8 @@ def cmd_reconstruct(setup: _Setup) -> str:
 
 
 def cmd_metrics(test_path, ref_path, data_range=None, out_path=None) -> str:
+    if data_range is not None and not 0 < data_range < float("inf"):
+        raise ConfigError(f"--data-range must be a positive finite number, got {data_range}")
     test, _ = io.load_array(test_path)
     ref, _ = io.load_array(ref_path)
     try:

@@ -52,11 +52,13 @@ def load_array(path):
     except (ValueError, AttributeError, ConfigError) as exc:  # not JSON, not a mapping
         raise FormatError(f"bad sidecar {sidecar_path}: {exc}") from None
     raw = path.read_bytes()
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected or min(shape, default=0) < 0:
+    if len(raw) != math.prod(shape) * 8 or min(shape, default=0) < 0:
         raise FormatError(
             f"payload size {len(raw)} does not match shape {shape}", offset=len(raw))
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # an empty payload of more dims or extent than numpy allows
+        raise FormatError(f"bad sidecar {sidecar_path}: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{path} holds non-finite values")
     return values, sidecar
@@ -81,8 +83,17 @@ def save_sinogram(path, sino: Sinogram) -> None:
 
 
 def load_sinogram(path, geo: ScanGeometry) -> Sinogram:
+    """One row of ``geo.n_dets`` values per view the sidecar's ``view_indices``
+    names; without them the rows are views 0, 1, ..."""
     values, sidecar = load_array(path)
-    idx = np.asarray(sidecar.get("view_indices", range(values.shape[0])), dtype=int)
+    n_rows = values.size // geo.n_dets
+    try:
+        idx = list_of(config_int)(sidecar.get("view_indices", list(range(n_rows))), "view_indices")
+    except ConfigError as exc:
+        raise FormatError(f"bad sidecar {path}.json: {exc}") from None
+    if values.shape != (len(idx), geo.n_dets):
+        raise FormatError(f"{path}: shape {list(values.shape)} does not match "
+                          f"{len(idx)} views x {geo.n_dets} detectors")
     return Sinogram(geo, idx, values)
 
 
@@ -232,7 +243,7 @@ def weights_from_config(cfg, domain: str) -> ConvStack | None:
         "none": {}, "tv": {}, "file": {"path": config_str}, "random": random})
     source = args.pop("source")
     if source == "tv":
-        return make_tv_weights(domain)
+        return make_tv_weights()
     if source == "file":
         if "path" not in args:
             raise ConfigError(f"regularizers.{domain} needs 'path' for source file")

@@ -1,4 +1,4 @@
-"""PSNR, SSIM and the dual-domain reconstruction loss."""
+"""PSNR and SSIM of a reconstruction against a reference."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .objective import DualState
-from .tomo import Image, ScanGeometry, forward_project
+from .tomo import Image
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -23,14 +22,12 @@ class MetricReport:
     psnr_db: float          # math.inf for identical inputs
     ssim: float
     data_range: float
-    loss: float | None = None
 
     def to_json_obj(self) -> dict:
         return {
             "psnr_db": "inf" if math.isinf(self.psnr_db) else self.psnr_db,
             "ssim": self.ssim,
             "data_range": self.data_range,
-            "loss": self.loss,
         }
 
     def write_json(self, path) -> None:
@@ -108,25 +105,10 @@ def ssim(test, ref, data_range: float | None = None) -> float:
     return float(np.mean(num / den))
 
 
-def evaluate_loss(recon: DualState, truth: Image, geo: ScanGeometry,
-                  mu: float = 0.01) -> float:
-    """Squared dual-domain error plus a weighted SSIM penalty.
-
-    ||x - truth||^2 + ||z - A truth||^2 + mu * (1 - SSIM(x, truth)).
-    """
-    z_ref = forward_project(truth, geo)
-    val = float(np.sum((recon.x.values - truth.values) ** 2))
-    val += float(np.sum((recon.z.values - z_ref.values) ** 2))
-    if mu != 0.0:
-        val += mu * (1.0 - ssim(recon.x.values, truth.values))
-    return val
-
-
-def report(test, ref, data_range: float | None = None,
-           loss: float | None = None) -> MetricReport:
+def report(test, ref, data_range: float | None = None) -> MetricReport:
     r = _as_array(ref)
     if data_range is None:
         data_range = default_data_range(r)
     return MetricReport(psnr_db=psnr(test, ref, data_range),
                         ssim=ssim(test, ref, data_range),
-                        data_range=data_range, loss=loss)
+                        data_range=data_range)

@@ -140,11 +140,6 @@ def evaluate(state: DualState, spec: ProblemSpec) -> Point:
     return Point(spec, state.x.values, state.z.values)
 
 
-def phi_eps(state: DualState, spec: ProblemSpec, eps: float) -> float:
-    """Smoothed objective value f + R_eps(x) + Q_eps(z)."""
-    return evaluate(state, spec).phi(eps)
-
-
 def phi_unsmoothed(state: DualState, spec: ProblemSpec) -> float:
     """Original nonsmooth objective (plain l2,1 regularizers)."""
     point = evaluate(state, spec)
@@ -153,11 +148,6 @@ def phi_unsmoothed(state: DualState, spec: ProblemSpec) -> float:
         if fwd is not None:
             val += reg.l21_norm(fwd[0])
     return val
-
-
-def grad_phi_eps(state: DualState, spec: ProblemSpec, eps: float):
-    """(d/dx, d/dz) of the smoothed objective, as two arrays."""
-    return evaluate(state, spec).grad(eps)
 
 
 def grad_norm(gx: np.ndarray, gz: np.ndarray) -> float:
@@ -222,8 +212,3 @@ class LipschitzConstants:
 def lipschitz_constants(spec: ProblemSpec) -> LipschitzConstants:
     """Run every Lipschitz power iteration of the problem once."""
     return LipschitzConstants(*block_lipschitz(spec), *lipschitz_regularizers(spec))
-
-
-def composite_lipschitz(spec: ProblemSpec, eps: float) -> float:
-    """Estimate of the Lipschitz constant of the full smoothed gradient."""
-    return lipschitz_constants(spec).composite(eps)

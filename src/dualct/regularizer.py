@@ -250,17 +250,13 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
 # Weight provisioning and I/O
 # ---------------------------------------------------------------------------
 
-def make_tv_weights(domain: str = "image", scale: float = 1.0,
-                    activation_delta: float = 0.01) -> ConvStack:
+def make_tv_weights(scale: float = 1.0, activation_delta: float = 0.01) -> ConvStack:
     """Single linear layer with forward-difference kernels.
 
     Two 3x3 kernels (horizontal and vertical difference, zero beyond the
     far edge) make the regularizer ``scale`` times the isotropic discrete
-    total variation. ``domain`` is accepted for interface symmetry; both
-    domains use the same kernels.
+    total variation, in either domain.
     """
-    if domain not in ("image", "sinogram"):
-        raise ConfigError(f"unknown domain {domain!r}")
     kh = np.zeros((3, 3))
     kh[1, 1] = -scale
     kh[1, 2] = scale

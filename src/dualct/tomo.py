@@ -156,13 +156,16 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        self.view_indices = np.asarray(self.view_indices, dtype=int)
+        try:
+            self.view_indices = np.asarray(self.view_indices, dtype=int)
+        except OverflowError:
+            raise InputError("view index out of range for geometry") from None
         n = self.view_indices.size
         if n == 0:
             raise InputError("sinogram must hold at least one view")
         if np.any(np.diff(self.view_indices) <= 0):
             raise InputError("view_indices must be sorted and unique")
-        if self.view_indices[-1] >= self.geometry.n_views_full:
+        if self.view_indices[0] < 0 or self.view_indices[-1] >= self.geometry.n_views_full:
             raise InputError("view index out of range for geometry")
         self.values = np.asarray(self.values, dtype=float).reshape(n, self.geometry.n_dets)
         if not np.all(np.isfinite(self.values)):
@@ -303,32 +306,25 @@ def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
 # Matrices of the most recently used geometries; a 128^2 matrix with 180
 # views takes about 46 MB, so a process sweeping geometries keeps only a few.
 _MATRIX_CACHE_SIZE = 4
-_MATRIX_CACHE: dict[tuple[ScanGeometry, int], sp.csr_matrix] = {}
+_MATRIX_CACHE: dict[ScanGeometry, sp.csr_matrix] = {}
 
 
-def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
-    """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths.
+def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
+    """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths,
+    one ray through the center of each detector bin.
 
-    ``supersample`` > 1 averages that many evenly offset sub-rays per
-    detector bin. All rays of a view are traced in one vectorized pass.
-    Cached per geometry; the cache keeps the ``_MATRIX_CACHE_SIZE`` most
-    recently used matrices.
+    All rays of a view are traced in one vectorized pass. Cached per
+    geometry; the cache keeps the ``_MATRIX_CACHE_SIZE`` most recently
+    used matrices.
     """
-    if supersample < 1:
-        raise ConfigError("supersample must be >= 1")
-    key = (geo, supersample)
-    cached = _MATRIX_CACHE.pop(key, None)
+    cached = _MATRIX_CACHE.pop(geo, None)
     if cached is not None:
-        _MATRIX_CACHE[key] = cached
+        _MATRIX_CACHE[geo] = cached
         return cached
 
     grid = geo.grid
     n_rows = geo.n_views_full * geo.n_dets
-    offsets = ((np.arange(supersample) + 0.5) / supersample - 0.5) * geo.det_spacing
-    w_sub = 1.0 / supersample
-    # detector-major, then sub-ray: the row of ray r is r // supersample
-    t = ((np.arange(geo.n_dets) - 0.5 * (geo.n_dets - 1)) * geo.det_spacing)[:, None] + offsets
-    t = t.ravel()
+    t = (np.arange(geo.n_dets) - 0.5 * (geo.n_dets - 1)) * geo.det_spacing
     # the index type scipy picks for this shape, so the COO arrays need no copy
     fits_int32 = max(n_rows, grid.nx * grid.ny) <= np.iinfo(np.int32).max
     index_dtype = np.int32 if fits_int32 else np.int64
@@ -336,9 +332,9 @@ def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     for v, theta in enumerate(geo.angles):
         ray, pix, ln = _trace_view(*_view_endpoints(geo, theta, t), grid)
-        rows.append((v * geo.n_dets + ray // supersample).astype(index_dtype))
+        rows.append((v * geo.n_dets + ray).astype(index_dtype))
         cols.append(pix.astype(index_dtype))
-        vals.append(ln * w_sub)
+        vals.append(ln)
     # one list at a time, so each list of pieces is freed once joined
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -347,20 +343,19 @@ def system_matrix(geo: ScanGeometry, supersample: int = 1) -> sp.csr_matrix:
     mat.sum_duplicates()
     if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
         del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
-    _MATRIX_CACHE[key] = mat
+    _MATRIX_CACHE[geo] = mat
     return mat
 
 
-def forward_project(img: Image, geo: ScanGeometry, supersample: int = 1) -> Sinogram:
+def forward_project(img: Image, geo: ScanGeometry) -> Sinogram:
     """Line-integral projection of ``img`` over every view of ``geo``."""
     if img.grid != geo.grid:
         raise ConfigError("image grid does not match geometry grid")
-    a = system_matrix(geo, supersample)
-    vals = a @ img.values.ravel()
+    vals = system_matrix(geo) @ img.values.ravel()
     return Sinogram(geo, np.arange(geo.n_views_full), vals.reshape(geo.n_views_full, geo.n_dets))
 
 
-def back_project(sino: Sinogram, geo: ScanGeometry, supersample: int = 1) -> Image:
+def back_project(sino: Sinogram, geo: ScanGeometry) -> Image:
     """Exact transpose of :func:`forward_project`.
 
     Sparse-view input is zero-filled onto the full view set first, so this
@@ -368,8 +363,7 @@ def back_project(sino: Sinogram, geo: ScanGeometry, supersample: int = 1) -> Ima
     """
     if sino.geometry != geo:
         raise ConfigError("sinogram geometry does not match")
-    a = system_matrix(geo, supersample)
-    vals = a.T @ zero_fill_views(sino).values.ravel()
+    vals = system_matrix(geo).T @ zero_fill_views(sino).values.ravel()
     return Image(geo.grid, vals.reshape(geo.grid.shape))
 
 

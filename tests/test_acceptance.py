@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dualct.metrics import psnr
-from dualct.objective import (DualState, ProblemSpec, composite_lipschitz,
-                              grad_norm, grad_phi_eps, phi_eps)
+from dualct.objective import (DualState, ProblemSpec, evaluate, grad_norm,
+                              lipschitz_constants)
 from dualct.regularizer import (feature_forward, l21_norm, make_random_weights,
                                 make_tv_weights, make_zero_weights,
                                 smoothed_grad, smoothed_value)
@@ -147,7 +147,7 @@ class TestCriterion2GradientFidelity:
         for _ in range(25):
             state = _full_state(geo, rng.standard_normal(grid.shape),
                                 rng.standard_normal((8, 7)))
-            gx, gz = grad_phi_eps(state, spec, eps)
+            gx, gz = evaluate(state, spec).grad(eps)
             vx = rng.standard_normal(gx.shape)
             vz = rng.standard_normal(gz.shape)
             nrm = math.sqrt(np.sum(vx**2) + np.sum(vz**2))
@@ -157,7 +157,7 @@ class TestCriterion2GradientFidelity:
                                state.z.values + h * vz)
             minus = _full_state(geo, state.x.values - h * vx,
                                 state.z.values - h * vz)
-            fd = (phi_eps(plus, spec, eps) - phi_eps(minus, spec, eps)) / (2 * h)
+            fd = (evaluate(plus, spec).phi(eps) - evaluate(minus, spec).phi(eps)) / (2 * h)
             scale = max(abs(fd), grad_norm(gx, gz))
             worst = max(worst, abs(np.sum(gx * vx) + np.sum(gz * vz) - fd) / scale)
             n_instances += 1
@@ -172,10 +172,10 @@ class TestCriterion3SmoothingGap:
     def test_gap_bound(self):
         rng = np.random.default_rng(2)
         shapes = {"image": (16, 16), "sinogram": (12, 17)}
+        stack = make_tv_weights()
         worst_low = 0.0
         worst_high = 0.0
-        for domain, shape in shapes.items():
-            stack = make_tv_weights(domain)
+        for shape in shapes.values():
             m = shape[0] * shape[1]
             for eps in (1.0, 0.1, 0.01):
                 for _ in range(20):
@@ -202,7 +202,7 @@ class TestCriterion5SafeguardTermination:
     def test_backtrack_bound(self, run32):
         spec, params, _, log = run32
         eps_min = min(r.eps for r in log.records)
-        l_hat = composite_lipschitz(spec, eps_min)
+        l_hat = lipschitz_constants(spec).composite(eps_min)
         bound = backtrack_bound(params, l_hat)
         observed = log.max_backtracks()
         ok = observed <= bound

@@ -121,8 +121,8 @@ class TestWeightsCommand:
         assert stack.layers[0].shape[2:] == (3, 15)
 
     @pytest.mark.parametrize("kind, domain, expected", [
-        ("tv", "image", lambda: make_tv_weights("image")),
-        ("tv", "sinogram", lambda: make_tv_weights("sinogram")),
+        ("tv", "image", lambda: make_tv_weights()),
+        ("tv", "sinogram", lambda: make_tv_weights()),
         ("random", "image", lambda: make_random_weights(5, kernel=(3, 3))),
         ("random", "sinogram", lambda: make_random_weights(5, kernel=(3, 15))),
     ])
@@ -238,6 +238,33 @@ class TestExitCodes:
         assert main(["init", "--config", str(cfg)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and message in err and "measured.f64" in err
+
+    @staticmethod
+    def _set_view_indices(path, value):
+        sidecar = Path(f"{path}.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "view_indices": value}))
+
+    @pytest.mark.parametrize("value", ["abc", [[1, 2]], 1.5, [True]])
+    def test_mistyped_view_indices(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        self._set_view_indices(tmp_path / "out" / "measured.f64", value)
+        assert main(["init", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: bad sidecar ") and "measured.f64.json" in err
+        assert "view_indices" in err
+
+    def test_negative_view_index(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        # the mask keeps views 0, 3, ..., 21; -1 would alias view 23
+        self._set_view_indices(tmp_path / "out" / "measured.f64", [-1, *range(3, 24, 3)])
+        assert main(["fbp", "--config", str(cfg)]) == EXIT_IO
+        assert "view index out of range" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "fbp.f64").exists()
 
     def test_single_view_mask_cannot_init(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mask={"n_keep": 1})
@@ -376,6 +403,15 @@ class TestConfigSchema:
 
 
 class TestMetricsOutput:
+    @pytest.mark.parametrize("data_range", ["-1", "0", "nan", "inf"])
+    def test_bad_data_range_is_usage_error(self, tmp_path, capsys, rng, data_range):
+        for name in ("a.f64", "b.f64"):
+            io.save_array(tmp_path / name, rng.random((16, 16)))
+        assert main(["metrics", "--test", str(tmp_path / "a.f64"), "--ref",
+                     str(tmp_path / "b.f64"), "--data-range", data_range]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--data-range" in err
+
     def test_identical_arrays_report_inf(self, tmp_path, capsys, rng):
         vals = rng.random((16, 16))
         a = tmp_path / "a.f64"

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualct import io
-from dualct.errors import ConfigError, FormatError
+from dualct.errors import ConfigError, FormatError, InputError
 from dualct.regularizer import make_tv_weights, save_weights
 from dualct.solver import SolverParams
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram,
@@ -76,6 +79,65 @@ class TestRawArrays:
         loaded = io.load_sinogram(path, geo)
         np.testing.assert_array_equal(loaded.values, sino.values)
         np.testing.assert_array_equal(loaded.view_indices, idx)
+
+    @pytest.mark.parametrize("shape", [[0, 10**30], [0] * 70])
+    def test_empty_payload_of_impossible_shape(self, tmp_path, shape):
+        path = tmp_path / "a.f64"
+        path.write_bytes(b"")
+        (tmp_path / "a.f64.json").write_text(json.dumps({"shape": shape}))
+        with pytest.raises(FormatError, match="bad sidecar"):
+            io.load_array(path)
+
+    def test_sinogram_shape_must_match_views_and_detectors(self, tmp_path, rng):
+        geo = parallel_geometry(10, 7, GridSpec(8, 8, 1.0))
+        path = tmp_path / "s.f64"
+        io.save_array(path, rng.random((5, 6)), {"view_indices": [0, 2, 4, 6, 8]})
+        with pytest.raises(FormatError, match="s.f64: shape \\[5, 6\\] does not match"):
+            io.load_sinogram(path, geo)
+
+
+# Sidecar values of every JSON kind, nested a little; lists of small
+# integers give negative, unsorted, repeated and out-of-range view indices.
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+SMALL_INTS = st.lists(st.integers(-3, 12), max_size=12)
+ABSENT = object()
+
+
+@st.composite
+def sinogram_files(draw):
+    """(sidecar, number of payload values) for a sinogram of 10 views x 7 dets."""
+    sidecar = {"dtype": "<f8"}
+    for key, likely in (("shape", st.tuples(st.integers(0, 11), st.just(7)).map(list)),
+                        ("view_indices", SMALL_INTS)):
+        value = draw(st.one_of(st.just(ABSENT), JSON_VALUES, SMALL_INTS, likely))
+        if value is not ABSENT:
+            sidecar[key] = value
+    shape = sidecar.get("shape")
+    fits = (isinstance(shape, list) and len(shape) < 4
+            and all(type(n) is int and 0 <= n <= 12 for n in shape))
+    if fits and draw(st.booleans()):
+        return sidecar, math.prod(shape)
+    return sidecar, draw(st.integers(0, 90))
+
+
+class TestFuzzedSinogramSidecar:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sinogram_files())
+    def test_only_format_or_input_errors(self, tmp_path, case):
+        sidecar, n_values = case
+        geo = parallel_geometry(10, 7, GridSpec(8, 8, 1.0))
+        path = tmp_path / "s.f64"
+        path.write_bytes(np.zeros(n_values, dtype="<f8").tobytes())
+        (tmp_path / "s.f64.json").write_text(json.dumps(sidecar))
+        try:
+            sino = io.load_sinogram(path, geo)
+        except (FormatError, InputError):
+            return
+        assert sino.values.shape == (sino.n_views, 7)
+        assert 0 <= sino.view_indices[0] and sino.view_indices[-1] < 10
 
 
 class TestPGM:

@@ -1,14 +1,12 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dualct.errors import InputError
-from dualct.metrics import (MetricReport, evaluate_loss, psnr, report, ssim)
-from dualct.objective import DualState
-from dualct.simdata import PhantomSpec, make_phantom
-from dualct.tomo import GridSpec, Image, Sinogram, forward_project, parallel_geometry
+from dualct.metrics import MetricReport, psnr, report, ssim
 
 try:
     from skimage.metrics import structural_similarity as sk_ssim
@@ -82,33 +80,15 @@ class TestReport:
     def test_finite_roundtrip(self, tmp_path, rng):
         a = rng.random((16, 16))
         b = a + 0.05
-        rep = report(b, a, loss=1.25)
+        rep = report(b, a)
         path = tmp_path / "m.json"
         rep.write_json(path)
         with open(path) as fh:
             obj = json.load(fh)
         assert obj["psnr_db"] == pytest.approx(rep.psnr_db)
-        assert obj["loss"] == 1.25
+        assert set(obj) == {"psnr_db", "ssim", "data_range"}
 
     def test_dataclass_fields(self):
         rep = MetricReport(psnr_db=30.0, ssim=0.9, data_range=1.0)
-        assert rep.loss is None
+        assert [f.name for f in fields(rep)] == ["psnr_db", "ssim", "data_range"]
 
-
-class TestLoss:
-    def test_zero_at_truth(self):
-        grid = GridSpec(16, 16, 2.0 / 16)
-        geo = parallel_geometry(12, 17, grid)
-        truth = make_phantom(PhantomSpec("disk", grid))
-        z = forward_project(truth, geo)
-        state = DualState(truth, z)
-        assert evaluate_loss(state, truth, geo) == pytest.approx(0.0, abs=1e-12)
-
-    def test_increases_with_error(self, rng):
-        grid = GridSpec(16, 16, 2.0 / 16)
-        geo = parallel_geometry(12, 17, grid)
-        truth = make_phantom(PhantomSpec("disk", grid))
-        z = forward_project(truth, geo)
-        noisy = Image(grid, truth.values + 0.1 * rng.standard_normal(grid.shape))
-        bad = DualState(noisy, z)
-        assert evaluate_loss(bad, truth, geo) > 0.0

@@ -3,8 +3,7 @@ import pytest
 
 from dualct.errors import ConfigError, NumericalError
 from dualct.objective import (DualState, Point, ProblemSpec, block_lipschitz,
-                              composite_lipschitz, evaluate, grad_norm,
-                              grad_phi_eps, lipschitz_constants, phi_eps,
+                              evaluate, grad_norm, lipschitz_constants,
                               phi_unsmoothed)
 from dualct.regularizer import make_tv_weights
 from dualct.tomo import (GridSpec, Image, Sinogram, forward_project,
@@ -83,7 +82,7 @@ class TestGradients:
     def test_grad_phi_matches_finite_differences(self, rng):
         spec, state = _make_problem(rng, with_regs=True)
         eps = 0.05
-        gx, gz = grad_phi_eps(state, spec, eps)
+        gx, gz = evaluate(state, spec).grad(eps)
         h = 1e-6
         for _ in range(15):
             vx = rng.standard_normal(gx.shape)
@@ -95,7 +94,7 @@ class TestGradients:
                              Sinogram(spec.geometry, np.arange(8), state.z.values + h * vz))
             minus = DualState(Image(spec.geometry.grid, state.x.values - h * vx),
                               Sinogram(spec.geometry, np.arange(8), state.z.values - h * vz))
-            fd = (phi_eps(plus, spec, eps) - phi_eps(minus, spec, eps)) / (2 * h)
+            fd = (evaluate(plus, spec).phi(eps) - evaluate(minus, spec).phi(eps)) / (2 * h)
             assert abs(np.sum(gx * vx) + np.sum(gz * vz) - fd) < 1e-6
 
     def test_grad_norm_is_euclidean(self, rng):
@@ -110,7 +109,7 @@ class TestSmoothingGap:
         spec, state = _make_problem(rng, with_regs=True)
         exact = phi_unsmoothed(state, spec)
         for eps in (1.0, 0.1, 0.01):
-            smooth = phi_eps(state, spec, eps)
+            smooth = evaluate(state, spec).phi(eps)
             n_sites = (spec.geometry.grid.nx * spec.geometry.grid.ny
                        + spec.geometry.n_views_full * spec.geometry.n_dets)
             assert -1e-10 <= exact - smooth <= n_sites * eps / 2 + 1e-10
@@ -149,14 +148,14 @@ class TestLipschitz:
 
     def test_composite_exceeds_data(self, rng):
         spec, _ = _make_problem(rng, with_regs=True)
-        assert composite_lipschitz(spec, 0.1) > block_lipschitz(spec)[2]
+        assert lipschitz_constants(spec).composite(0.1) > block_lipschitz(spec)[2]
 
     def test_constants_are_eps_free(self, rng):
         # one set of power iterations serves every smoothing level
         spec, _ = _make_problem(rng, with_regs=True)
         lip = lipschitz_constants(spec)
         for eps in (0.1, 0.05, 1e-3):
-            assert lip.composite(eps) == composite_lipschitz(spec, eps)
+            assert lip.composite(eps) == lipschitz_constants(spec).composite(eps)
         lr1, lq1 = lip.image(0.1), lip.sino(0.1)
         lr2, lq2 = lip.image(0.05), lip.sino(0.05)
         # single linear layers: no curvature term, so exactly 1/eps

@@ -8,7 +8,7 @@ import pytest
 from dualct import objective, regularizer, solver
 from dualct.errors import ConfigError, SolverError
 from dualct.objective import (DualState, ProblemSpec, evaluate,
-                              lipschitz_constants, phi_eps)
+                              lipschitz_constants)
 from dualct.regularizer import make_random_weights, make_tv_weights
 from dualct.simdata import PhantomSpec, make_phantom
 from dualct.solver import (BRANCH_BCD, BRANCH_EDC, CSV_COLUMNS, IterateLog,
@@ -80,7 +80,7 @@ class TestStepMechanics:
         eps = 0.1
         steps = resolve_steps(lipschitz_constants(spec), SolverParams(), eps)
         cand = candidate_step(evaluate(init, spec), steps, eps)
-        assert phi_eps(cand.state(), spec, eps) < phi_eps(init, spec, eps)
+        assert evaluate(cand.state(), spec).phi(eps) < evaluate(init, spec).phi(eps)
 
     def test_edc_rejects_non_descending_candidate(self, rng):
         spec, init, _ = _problem(rng)
@@ -103,7 +103,7 @@ class TestStepMechanics:
         eps = 0.1
         params = SolverParams()
         cand, bt, bar_a, bar_b = bcd_safeguard(evaluate(init, spec), params, eps)
-        assert phi_eps(cand.state(), spec, eps) < phi_eps(init, spec, eps)
+        assert evaluate(cand.state(), spec).phi(eps) < evaluate(init, spec).phi(eps)
         assert bar_a == params.bar_alpha0 * params.rho**bt
         assert bar_b == params.bar_beta0 * params.rho**bt
 

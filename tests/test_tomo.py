@@ -21,7 +21,7 @@ from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, ScanGeometry,
 # (Liang-Barsky), entirely separate from the production Siddon traversal.
 # ---------------------------------------------------------------------------
 
-def _oracle_endpoints(geo, view, det, offset=0.0):
+def _oracle_endpoints(geo, view, det):
     """A segment along the ray of (view, detector bin) that spans the grid.
 
     Built from the geometry's definition, not from the production tracer:
@@ -30,7 +30,7 @@ def _oracle_endpoints(geo, view, det, offset=0.0):
     source circle, turned by t from the direction to the origin.
     """
     theta = geo.angles[view]
-    t = (det - (geo.n_dets - 1) / 2) * geo.det_spacing + offset
+    t = (det - (geo.n_dets - 1) / 2) * geo.det_spacing
     center = np.asarray(geo.grid.origin, dtype=float)
     xmin, xmax, ymin, ymax = geo.grid.extent
     reach = geo.source_radius + (xmax - xmin) + (ymax - ymin)
@@ -66,22 +66,19 @@ def _clip_length(p0, p1, xlo, xhi, ylo, yhi):
     return (t1 - t0) * float(np.hypot(*d))
 
 
-def dense_matrix_oracle(geo, supersample=1):
+def dense_matrix_oracle(geo):
     grid = geo.grid
     xmin, _, ymin, _ = grid.extent
     h = grid.pixel_size
-    offsets = [(2 * s + 1 - supersample) / (2 * supersample) * geo.det_spacing
-               for s in range(supersample)]
     mat = np.zeros((geo.n_views_full * geo.n_dets, grid.nx * grid.ny))
     for v in range(geo.n_views_full):
         for j in range(geo.n_dets):
-            for off in offsets:
-                p0, p1 = _oracle_endpoints(geo, v, j, off)
-                for iy in range(grid.ny):
-                    for ix in range(grid.nx):
-                        ln = _clip_length(p0, p1, xmin + ix * h, xmin + (ix + 1) * h,
-                                          ymin + iy * h, ymin + (iy + 1) * h)
-                        mat[v * geo.n_dets + j, iy * grid.nx + ix] += ln / supersample
+            p0, p1 = _oracle_endpoints(geo, v, j)
+            for iy in range(grid.ny):
+                for ix in range(grid.nx):
+                    mat[v * geo.n_dets + j, iy * grid.nx + ix] = _clip_length(
+                        p0, p1, xmin + ix * h, xmin + (ix + 1) * h,
+                        ymin + iy * h, ymin + (iy + 1) * h)
     return mat
 
 
@@ -93,8 +90,8 @@ def _off_axis(angles, margin=1e-3):
 
 @st.composite
 def small_geometries(draw):
-    """(geometry, supersample): a grid of at most 6x6 pixels at a random
-    origin, a few off-axis views and a random detector pitch."""
+    """A grid of at most 6x6 pixels at a random origin, a few off-axis views
+    and a random detector pitch."""
     h = draw(st.floats(0.25, 2.0))
     grid = GridSpec(draw(st.integers(1, 6)), draw(st.integers(1, 6)), h,
                     (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))))
@@ -102,7 +99,6 @@ def small_geometries(draw):
                                         max_size=4, unique=True))))
     assume(_off_axis(angles))
     n_dets = draw(st.integers(1, 7))
-    supersample = draw(st.integers(1, 2))
     if draw(st.sampled_from([PARALLEL, FAN])) == PARALLEL:
         geo = ScanGeometry(PARALLEL, angles, n_dets, draw(st.floats(0.1, 1.5)) * h, grid)
     else:
@@ -111,18 +107,16 @@ def small_geometries(draw):
         geo = ScanGeometry(FAN, angles, n_dets, draw(st.floats(0.01, 0.3)), grid,
                            source_radius=radius, source_to_detector=radius)
         # every fan ray must be off-axis too
-        span = (np.arange(n_dets * supersample) + 0.5) / supersample - 0.5 * n_dets
+        span = np.arange(n_dets) - 0.5 * (n_dets - 1)
         assume(_off_axis(np.add.outer(angles, span * geo.det_spacing)))
-    return geo, supersample
+    return geo
 
 
 class TestSystemMatrix:
     @settings(max_examples=60, deadline=None)
     @given(small_geometries())
-    def test_matches_dense_oracle(self, case):
-        geo, supersample = case
-        got = system_matrix(geo, supersample).toarray()
-        np.testing.assert_allclose(got, dense_matrix_oracle(geo, supersample),
+    def test_matches_dense_oracle(self, geo):
+        np.testing.assert_allclose(system_matrix(geo).toarray(), dense_matrix_oracle(geo),
                                    rtol=0, atol=1e-10)
 
     # sha256 of (indptr, indices, data), recorded from the per-ray tracing
@@ -130,35 +124,27 @@ class TestSystemMatrix:
     PINNED = {
         # theta = 0 and pi/2 with detector bins on pixel edges
         "parallel16_axis": (lambda: parallel_geometry(8, 17, GridSpec(16, 16, 1.0),
-                                                      det_spacing=1.0), 1,
+                                                      det_spacing=1.0),
                             "f4dc00701e694ac026f1cb81445544d670718fee8ec631207733ce8facabb83a",
                             "8b54ad1e25d671c013802f0f36969cc21fa4f95a265140657c56d8e94db08ead",
                             "4b9dbfff5dc0fa80340d5e969cee47df6abea611c49445bd404e440fd407aa6e"),
         # offset origin, detector span wider than the grid: 246 empty rows
         "rect_offset_wide": (lambda: ScanGeometry(
                                 PARALLEL, tuple(np.arange(10) * (np.pi / 10) + 0.05), 41, 0.9,
-                                GridSpec(20, 13, 0.7, origin=(1.3, -0.6))), 1,
+                                GridSpec(20, 13, 0.7, origin=(1.3, -0.6))),
                              "7913e90d874b08a220b59fb80842e78720a232526d4f3f151597d3b2f7539e3a",
                              "de7944796560a2267887045c9dd06bd253c517cf3a2e389b72bf01c7e7101b85",
                              "b074203f4782ae7e4452264b56c4525a9301b45f1dfe1f7623bdf29e6bdf2cee"),
-        "supersample3": (lambda: parallel_geometry(12, 21, GridSpec(16, 16, 1.0)), 3,
-                         "4d3d541c781157c185c2809d27f9e3cb2a2abd002c1047853520b55c3dda15a7",
-                         "04a547258851357a8b053f9ce84244c34760bfcccd1a64c72cbcd666d7cf3b40",
-                         "d183f758428435c50b2382668608d40d01736261d712062908a9fb86b2956cdd"),
-        "fan": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)), 1,
+        "fan": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)),
                 "4cc0e217b04b059690b587937f6ea98c128279ecdad03eb1257c1f58f1f76355",
                 "08fb24a6b802f07d3d70b6cb91efa39262fbf99ced7a4230961d36d2176a3eb2",
                 "05c585230ce4d5b60555195c42e7c18513406597d0654b9d5e76eb817fc4b218"),
-        "fan_supersample2": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)), 2,
-                             "e290990ed2975213f4555efb16cfaf2abea4361481dd47d7dcefe6a094396ff8",
-                             "11467d1753d5c141fc09b3119e97ca1af96334229c92b2029945aa9ab6c481d2",
-                             "52061193cdcd3448e7c0422f8f842b7cd3e6281b4bde339ae59978b69421c063"),
-        "grid1x1": (lambda: parallel_geometry(4, 3, GridSpec(1, 1, 1.0)), 1,
+        "grid1x1": (lambda: parallel_geometry(4, 3, GridSpec(1, 1, 1.0)),
                     "c72dd2e22cfe4b7a3023394a011364af88315aa6e10c0f8b4c955f8e17ae1c4c",
                     "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
                     "048ba90947ebcbd10a314799db283722492b8e027b38a4c4cfc3927e4cc7b285"),
         # the benchmark's tv64 geometry
-        "tv64": (lambda: parallel_geometry(90, 95, GridSpec(64, 64, 2.0 / 64)), 1,
+        "tv64": (lambda: parallel_geometry(90, 95, GridSpec(64, 64, 2.0 / 64)),
                  "4f7c2603a28a795af6698d22eb0e88736187baf18385a12f5c51d7e07b92722e",
                  "f725b5e1a0c93cc67c8e4582110abce4a44cea8f08ac7ebbe0e299f0d5e31545",
                  "f3f48028640b8bf6598ceabe8c5f916a6e468487f5d4898ce8cb8dc11ee7b3fc"),
@@ -166,8 +152,8 @@ class TestSystemMatrix:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_pinned_bytes(self, name):
-        make_geo, supersample, *expected = self.PINNED[name]
-        mat = system_matrix(make_geo(), supersample)
+        make_geo, *expected = self.PINNED[name]
+        mat = system_matrix(make_geo())
         got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (mat.indptr, mat.indices, mat.data)]
         assert got == expected
@@ -254,14 +240,6 @@ class TestForwardProject:
             sino = forward_project(disk, geo).values
             spread = np.max(np.abs(sino[1] - sino[0]))
             assert spread <= 1e-10 * max(1.0, np.max(np.abs(sino)))
-
-    def test_supersampling_changes_weights_smoothly(self, grid8, rng):
-        geo = parallel_geometry(6, 7, grid8)
-        img = Image(grid8, rng.random((8, 8)))
-        s1 = forward_project(img, geo, supersample=1).values
-        s4 = forward_project(img, geo, supersample=4).values
-        assert np.max(np.abs(s1 - s4)) < 0.5 * np.max(np.abs(s1))
-        assert not np.array_equal(s1, s4)
 
 
 class TestBackProject:
@@ -427,6 +405,13 @@ class TestGeometryValidation:
     def test_fan_requires_radii(self, grid8):
         with pytest.raises(ConfigError):
             ScanGeometry(FAN, (0.0, 1.0), 4, 0.01, grid8)
+
+    def test_negative_view_index_rejected(self, grid8):
+        geo = parallel_geometry(4, 5, grid8)
+        with pytest.raises(InputError, match="view index out of range"):
+            Sinogram(geo, [-1, 0, 2], np.zeros((3, 5)))
+        with pytest.raises(InputError, match="view index out of range"):
+            Sinogram(geo, [0, 2**70], np.zeros((2, 5)))
 
     def test_system_matrix_cached(self, grid8):
         geo = parallel_geometry(5, 7, grid8)
