@@ -65,7 +65,11 @@ class _Setup:
 
 
 def _load_sparse(setup: _Setup) -> Sinogram:
-    return io.load_sinogram(setup.out("measured.f64"), setup.geometry)
+    path = setup.out("measured.f64")
+    sparse = io.load_sinogram(path, setup.geometry)
+    if not np.array_equal(sparse.view_indices, setup.mask.indices()):
+        raise InputError(f"{path}: view_indices do not match the config's mask")
+    return sparse
 
 
 def cmd_phantom(setup: _Setup) -> str:
@@ -100,14 +104,14 @@ def cmd_fbp(setup: _Setup, window="ram-lak") -> str:
 
 
 def cmd_reconstruct(setup: _Setup) -> str:
+    measured = _load_sparse(setup)
     x0_path = setup.out("x0.f64")
     if x0_path.exists():
-        x0 = io.load_image(x0_path, setup.geometry.grid)
-        z0 = io.load_sinogram(setup.out("z0.f64"), setup.geometry)
-        state0 = DualState(x0, z0)
+        state0 = DualState(io.load_image(x0_path, setup.geometry.grid),
+                           io.load_sinogram(setup.out("z0.f64"), setup.geometry))
     else:
-        state0 = initialize(_load_sparse(setup), setup.geometry, setup.mask)
-    spec = ProblemSpec(setup.geometry, setup.mask, _load_sparse(setup),
+        state0 = initialize(measured, setup.geometry, setup.mask)
+    spec = ProblemSpec(setup.geometry, setup.mask, measured,
                        lam=setup.lam, image_weights=setup.image_weights,
                        sino_weights=setup.sino_weights)
     try:

@@ -56,12 +56,14 @@ class ConvStack:
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("ConvStack needs at least one layer")
-        if not self.activation_delta > 0:
-            raise ConfigError("activation_delta must be positive")
+        if not 0 < self.activation_delta < math.inf:
+            raise ConfigError(f"activation_delta must be positive and finite, "
+                              f"got {self.activation_delta}")
         in_c = 1
         for li, w in enumerate(self.layers):
-            if w.ndim != 4:
-                raise ConfigError(f"layer {li}: weights must be 4-D (out, in, kh, kw)")
+            if w.ndim != 4 or min(w.shape) < 1:
+                raise ConfigError(f"layer {li}: weights must be 4-D (out, in, kh, kw) with "
+                                  f"every dimension at least 1, got shape {w.shape}")
             if w.shape[1] != in_c:
                 raise ConfigError(f"layer {li}: expected {in_c} input channels, got {w.shape[1]}")
             if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
@@ -202,15 +204,14 @@ def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
     return feature_vjp(y, stack, features * scale[:, None], pre)
 
 
-def power_iteration(apply, v: np.ndarray, power_iters: int,
-                    norm=np.linalg.norm) -> float:
+def power_iteration(apply, v: np.ndarray, power_iters: int) -> float:
     """Largest eigenvalue of the symmetric positive semidefinite operator
     ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes)."""
-    v = v / norm(v)
+    v = v / np.linalg.norm(v)
     lam = 0.0
     for _ in range(power_iters):
         w = apply(v)
-        lam = norm(w)
+        lam = np.linalg.norm(w)
         if lam == 0.0:
             return 0.0
         v = w / lam
@@ -276,6 +277,8 @@ def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,
                         kernel: tuple[int, int] = (3, 3), scale: float = 0.1,
                         activation_delta: float = 0.01) -> ConvStack:
     """Deterministic random stack; identical for identical seeds."""
+    if min(n_channels, *kernel) < 1:
+        raise ConfigError(f"random channels and kernel must be >= 1, got {n_channels}, {kernel}")
     rng = np.random.default_rng(seed)
     layers = []
     in_c = 1
@@ -309,17 +312,18 @@ def save_weights(stack: ConvStack, path) -> None:
 
 
 def load_weights(path) -> ConvStack:
-    """Read a weight file written by :func:`save_weights`."""
+    """Read a weight file written by :func:`save_weights`; any fault in the
+    file, the layers or delta it declares included, is a FormatError."""
     with open(str(path), "rb") as fh:
         data = fh.read()
     if data[:4] != WEIGHT_MAGIC:
-        raise FormatError("bad magic in weight file", offset=0)
+        raise FormatError(f"bad magic in weight file {path}", offset=0)
     off = 4
     try:
         version, n_layers = struct.unpack_from("<II", data, off)
         off += 8
         if version != WEIGHT_VERSION:
-            raise FormatError(f"unsupported weight file version {version}", offset=4)
+            raise FormatError(f"unsupported version {version} of weight file {path}", offset=4)
         (delta,) = struct.unpack_from("<d", data, off)
         off += 8
         shapes = []
@@ -328,12 +332,16 @@ def load_weights(path) -> ConvStack:
             off += 16
         layers = []
         for shp in shapes:
-            count = int(np.prod(shp))
-            end = off + 8 * count
+            end = off + 8 * math.prod(shp)
             if end > len(data):
-                raise FormatError("truncated weight payload", offset=off)
+                raise FormatError(f"truncated payload in weight file {path}", offset=off)
             layers.append(np.frombuffer(data[off:end], dtype="<f8").reshape(shp).copy())
             off = end
+        if off != len(data):
+            raise FormatError(f"{len(data) - off} bytes after the payload of weight file {path}",
+                              offset=off)
+        return ConvStack(tuple(layers), delta)
     except struct.error as exc:
-        raise FormatError(f"truncated weight header: {exc}", offset=off) from exc
-    return ConvStack(tuple(layers), delta)
+        raise FormatError(f"truncated header in weight file {path}: {exc}", offset=off) from exc
+    except (ConfigError, ValueError) as exc:  # ValueError: an empty layer numpy cannot shape
+        raise FormatError(f"bad weight file {path}: {exc}") from None

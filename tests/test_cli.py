@@ -3,8 +3,10 @@ import json
 import math
 import re
 import string
+import struct
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +267,51 @@ class TestExitCodes:
         assert main(["fbp", "--config", str(cfg)]) == EXIT_IO
         assert "view index out of range" in capsys.readouterr().err
         assert not (tmp_path / "out" / "fbp.f64").exists()
+
+    @pytest.mark.parametrize("cmd", ["fbp", "init", "reconstruct"])
+    def test_measurement_off_the_mask(self, tmp_path, capsys, cmd):
+        cfg = write_config(tmp_path)
+        for step in ("phantom", "simulate"):
+            assert main([step, "--config", str(cfg)]) == 0
+        # the mask keeps views 0, 3, ..., 21
+        self._set_view_indices(tmp_path / "out" / "measured.f64", list(range(1, 24, 3)))
+        assert main([cmd, "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "measured.f64" in err and "mask" in err
+        assert not any((tmp_path / "out" / name).exists()
+                       for name in ("fbp.f64", "x0.f64", "recon.f64"))
+
+    @staticmethod
+    def _overflowing_shape(path):
+        # 65536**4 elements wrap to 0 in int64 arithmetic
+        save_weights(make_tv_weights(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + struct.pack("<4I", *(65536,) * 4) + data[36:])
+
+    @staticmethod
+    def _unchecked(layers, delta=0.01):
+        # save_weights for layers and a delta that ConvStack would reject
+        return lambda path: save_weights(SimpleNamespace(
+            layers=layers, activation_delta=delta, n_layers=len(layers)), path)
+
+    @pytest.mark.parametrize("write, message", [
+        (_overflowing_shape, "truncated payload"),
+        (_unchecked((np.ones((2, 1, 3, 3)),), math.nan), "activation_delta"),
+        (_unchecked((np.ones((0, 1, 3, 3)), np.ones((2, 0, 3, 3)))), "at least 1"),
+    ], ids=["overflow", "nan-delta", "zero-extent"])
+    def test_bad_weight_file(self, tmp_path, capsys, write, message):
+        path = tmp_path / "w.bin"
+        write(path)
+        cfg = write_config(tmp_path, regularizers={"image": {"source": "file", "path": str(path)}})
+        assert main(["phantom", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and message in err and str(path) in err
+
+    @pytest.mark.parametrize("random", [{"channels": 0}, {"channels": -1}, {"kernel": [-1, 3]}])
+    def test_empty_random_weights(self, tmp_path, capsys, random):
+        cfg = write_config(tmp_path, regularizers={"image": {"source": "random", **random}})
+        assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error: random channels and kernel must be >= 1" in capsys.readouterr().err
 
     def test_single_view_mask_cannot_init(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mask={"n_keep": 1})

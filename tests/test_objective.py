@@ -6,7 +6,7 @@ from dualct.objective import (DualState, Point, ProblemSpec, block_lipschitz,
                               evaluate, grad_norm, lipschitz_constants,
                               phi_unsmoothed)
 from dualct.regularizer import make_tv_weights
-from dualct.tomo import (GridSpec, Image, Sinogram, forward_project,
+from dualct.tomo import (GridSpec, Image, Sinogram, fan_geometry, forward_project,
                          parallel_geometry, subsample_views, system_matrix,
                          uniform_mask)
 
@@ -125,26 +125,35 @@ class TestLipschitz:
         spec, _ = _make_problem(rng)
         a = system_matrix(spec.geometry).toarray()
         expected = np.linalg.norm(a, 2) ** 2
-        _, l_x, _ = block_lipschitz(spec, power_iters=200)
+        _, l_x, _ = block_lipschitz(spec)
         assert l_x == pytest.approx(expected, rel=1e-6)
 
     def test_full_hessian_matches_dense(self, rng):
-        spec, _ = _make_problem(rng, with_regs=False, lam=2.0)
-        a = system_matrix(spec.geometry).toarray()
-        n_x = a.shape[1]
-        n_z = a.shape[0]
-        sel = spec.mask.indices()
-        nd = spec.geometry.n_dets
-        diag = np.zeros(n_z)
-        for v in sel:
-            diag[v * nd:(v + 1) * nd] = 1.0
-        hess = np.block([
-            [a.T @ a, -a.T],
-            [-a, np.eye(n_z) + spec.lam * np.diag(diag)],
-        ])
-        expected = np.linalg.norm(hess, 2)
-        _, _, l_f = block_lipschitz(spec, power_iters=300)
-        assert l_f == pytest.approx(expected, rel=1e-6)
+        # exact with every view measured, an upper bound otherwise
+        grid = GridSpec(6, 6, 1.0)
+        for make_geometry in (parallel_geometry, fan_geometry):
+            geo = make_geometry(8, 7, grid)
+            truth = Image(grid, rng.random(grid.shape))
+            for n_keep in (8, 4):
+                mask = uniform_mask(8, n_keep)
+                spec = ProblemSpec(geo, mask, subsample_views(forward_project(truth, geo), mask),
+                                   lam=2.0)
+                a = system_matrix(geo).toarray()
+                n_z = a.shape[0]
+                nd = geo.n_dets
+                diag = np.zeros(n_z)
+                for v in mask.indices():
+                    diag[v * nd:(v + 1) * nd] = 1.0
+                hess = np.block([
+                    [a.T @ a, -a.T],
+                    [-a, np.eye(n_z) + spec.lam * np.diag(diag)],
+                ])
+                expected = np.linalg.norm(hess, 2)
+                _, _, l_f = block_lipschitz(spec)
+                if n_keep == 8:
+                    assert l_f == pytest.approx(expected, rel=1e-12)
+                else:
+                    assert l_f >= expected * (1 - 1e-12)
 
     def test_composite_exceeds_data(self, rng):
         spec, _ = _make_problem(rng, with_regs=True)

@@ -1,5 +1,11 @@
+import math
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualct.errors import ConfigError, FormatError, InputError
 from dualct import regularizer
@@ -61,6 +67,22 @@ class TestConvStackValidation:
         w[0, 0, 0, 0] = np.inf
         with pytest.raises(ConfigError):
             ConvStack((w,))
+
+    @pytest.mark.parametrize("layers", [(np.zeros((0, 1, 3, 3)),),
+                                        (np.zeros((2, 1, 3, 3)), np.zeros((0, 2, 3, 3)))])
+    def test_zero_extent_rejected(self, layers):
+        with pytest.raises(ConfigError, match="at least 1"):
+            ConvStack(layers)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ConfigError, match="activation_delta"):
+            ConvStack((np.zeros((1, 1, 3, 3)),), delta)
+
+    @pytest.mark.parametrize("n_channels, kernel", [(0, (3, 3)), (-1, (3, 3)), (2, (-1, 3))])
+    def test_empty_random_stack_rejected(self, n_channels, kernel):
+        with pytest.raises(ConfigError, match="channels and kernel must be >= 1"):
+            make_random_weights(n_channels=n_channels, kernel=kernel)
 
     def test_zero_stack_flag(self):
         assert make_zero_weights().is_zero()
@@ -270,3 +292,79 @@ class TestWeightIO:
         c = make_random_weights(5)
         assert any(not np.array_equal(wa, wc)
                    for wa, wc in zip(a.layers, c.layers))
+
+
+def save_unchecked(path, layers, delta=0.01):
+    """save_weights for layers and a delta that ConvStack would reject."""
+    save_weights(SimpleNamespace(layers=layers, activation_delta=delta,
+                                 n_layers=len(layers)), path)
+
+
+# A valid two-layer file: magic, then version and n_layers at byte 4 and 8,
+# delta at 12, the four shape fields of each layer from 20, the payload at 52.
+U32_FIELDS = [4, 8, *range(20, 52, 4)]
+U32 = st.one_of(st.sampled_from([0, 1, 2, 3, 2**16, 2**32 - 1]), st.integers(0, 2**32 - 1))
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestDamagedWeightFiles:
+    """Whatever a weight file holds, load_weights returns a ConvStack or
+    raises FormatError."""
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        path = tmp_path / "w.bin"
+        save_weights(make_random_weights(3, n_layers=2, n_channels=2), path)
+        return path, path.read_bytes()
+
+    def test_truncated_at_every_offset(self, valid):
+        path, data = valid
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(FormatError):
+                load_weights(path)
+
+    @FUZZ
+    @given(tail=st.binary(min_size=1, max_size=40))
+    def test_appended_bytes(self, valid, tail):
+        path, data = valid
+        path.write_bytes(data + tail)
+        with pytest.raises(FormatError, match="after the payload"):
+            load_weights(path)
+
+    @FUZZ
+    @given(patch=st.one_of(
+        st.tuples(st.sampled_from(U32_FIELDS), U32.map(lambda v: struct.pack("<I", v))),
+        st.tuples(st.just(12), st.floats().map(lambda v: struct.pack("<d", v)))))
+    def test_fuzzed_header_field(self, valid, patch):
+        path, data = valid
+        off, raw = patch
+        path.write_bytes(data[:off] + raw + data[off + len(raw):])
+        try:
+            load_weights(path)
+        except FormatError:
+            pass
+
+    def test_overflowing_layer_shape(self, tmp_path):
+        # 65536**4 elements wrap to 0 in int64 arithmetic
+        path = tmp_path / "w.bin"
+        save_weights(make_tv_weights(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + struct.pack("<4I", *(65536,) * 4) + data[36:])
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_weights(path)
+
+    @pytest.mark.parametrize("layers, delta, message", [
+        ((np.ones((2, 1, 3, 3)),), math.nan, "activation_delta"),
+        ((np.full((1, 1, 3, 3), np.nan),), 0.01, "non-finite"),
+        ((np.ones((1, 1, 2, 2)),), 0.01, "odd"),
+        ((), 0.01, "at least one layer"),
+        ((np.ones((0, 1, 3, 3)), np.ones((2, 0, 3, 3))), 0.01, "at least 1"),
+    ])
+    def test_rejected_stack_names_the_file(self, tmp_path, layers, delta, message):
+        path = tmp_path / "w.bin"
+        save_unchecked(path, layers, delta)
+        with pytest.raises(FormatError, match=message) as exc:
+            load_weights(path)
+        assert str(path) in str(exc.value)
