@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
@@ -57,11 +60,27 @@ class _Setup:
             "config": str(self.config_path),
             "config_sha256": io.config_hash(self.config_path),
             "noise_seed": self.noise.seed,
-            "versions": {"dualct": __version__, "numpy": np.__version__},
+            **_numeric_environment(),
         }
         with open(self.out(f"manifest_{command}.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _numeric_environment() -> dict:
+    """What the floating-point results depend on beyond the inputs: library
+    versions, the BLAS build and the thread settings it reads (the conv
+    layers sum over channels inside BLAS, in an order that can change with
+    the thread count), and the cores this process may use."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "versions": {"dualct": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                     "python": platform.python_version()},
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "nproc": len(os.sched_getaffinity(0)),
+    }
 
 
 def _load_sparse(setup: _Setup) -> Sinogram:
@@ -157,6 +176,13 @@ def cmd_weights(kind, out_path, domain="image", seed=0) -> str:
     return f"{kind} weights ({stack.n_layers} layers, {stack.out_channels} ch) -> {out_path}"
 
 
+def _seed_arg(text: str) -> int:
+    """Value of ``--seed``: numpy's generators take no negative seed."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dualct",
                                      description="Dual-domain sparse-view CT reconstruction")
@@ -181,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["tv", "random"])
     p.add_argument("--out", required=True)
     p.add_argument("--domain", default="image", choices=["image", "sinogram"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     return parser
 
 

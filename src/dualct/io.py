@@ -147,6 +147,15 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_seed(value, key: str) -> int:
+    """A random seed: a config integer of at least 0, as numpy's generators
+    take no negative seed."""
+    seed = config_int(value, key)
+    if seed < 0:
+        raise ConfigError(f"{key} must be >= 0, got {seed}")
+    return seed
+
+
 def config_str(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
@@ -231,13 +240,13 @@ def phantom_from_config(cfg, grid: GridSpec) -> PhantomSpec:
 
 def noise_from_config(cfg) -> NoiseSpec:
     return NoiseSpec(**_read_variant(cfg, "noise", "model", NoiseSpec.model, {
-        "none": {}, "gaussian": {"sigma": config_float, "seed": config_int},
-        "poisson-transmission": {"photons": config_float, "seed": config_int}}))
+        "none": {}, "gaussian": {"sigma": config_float, "seed": config_seed},
+        "poisson-transmission": {"photons": config_float, "seed": config_seed}}))
 
 
 def weights_from_config(cfg, domain: str) -> ConvStack | None:
     """Regularizer weight source: tv | random | file | none."""
-    random = {"seed": config_int, "layers": config_int, "channels": config_int,
+    random = {"seed": config_seed, "layers": config_int, "channels": config_int,
               "kernel": list_of(config_int, 2)}
     args = _read_variant(cfg, f"regularizers.{domain}", "source", "none", {
         "none": {}, "tv": {}, "file": {"path": config_str}, "random": random})

@@ -68,7 +68,7 @@ class Point:
     """One iterate (x, z) with everything the solver evaluates at it.
 
     Construction applies A once and keeps Ax, both residuals, the data term
-    ``f`` and each domain's extractor features with their pre-activations.
+    ``f`` and each domain's extractor features with their activation slopes.
     Gradients and phi_eps are computed on first use and kept per eps.
     ``x`` and ``z`` are never modified and must be finite.
     """

@@ -4,7 +4,7 @@ A small convolutional feature extractor g maps a 2-D field to an
 (site x channel) feature array; the regularizer is the l2,1 norm of the
 features, Huber-smoothed with half-width eps so that it is C^1. The
 gradient is obtained by hand-rolled backpropagation through g (transpose
-convolutions + activation derivative at cached pre-activations).
+convolutions + activation slopes cached by the forward pass).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, FormatError, InputError
 
@@ -85,14 +84,27 @@ class ConvStack:
 
 
 def _conv_layer(h, w):
-    """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero same padding."""
-    out = np.empty((w.shape[0],) + h.shape[1:])
-    for o in range(w.shape[0]):
-        acc = ndimage.correlate(h[0], w[o, 0], mode="constant")
-        for i in range(1, w.shape[1]):
-            acc += ndimage.correlate(h[i], w[o, i], mode="constant")
-        out[o] = acc
-    return out
+    """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero "same" padding.
+
+    A correlation as one BLAS product per nonzero kernel tap. ``h`` is
+    zero-padded once into a flat (in_c, L) buffer whose rows are
+    Wp = W + kw - 1 wide, so the inputs of tap (a, b) for every output
+    site are the unit-stride window that starts at a*Wp + b. The products
+    accumulate on (out_c, H, Wp) rows whose last kw - 1 columns are cropped.
+    ``np.dot``, not ``@``: numpy's matmul skips BLAS when in_c is 1.
+    """
+    out_c, in_c, kh, kw = w.shape
+    _, rows, cols = h.shape
+    wp = cols + kw - 1
+    n = rows * wp
+    hp = np.zeros((in_c, (rows + kh - 1) * wp + kw - 1))
+    hp[:, :(rows + kh - 1) * wp].reshape(in_c, rows + kh - 1, wp)[
+        :, kh // 2:kh // 2 + rows, kw // 2:kw // 2 + cols] = h
+    out = np.zeros((out_c, n))
+    for a, b in zip(*np.nonzero(w.any(axis=(0, 1)))):
+        start = a * wp + b
+        out += np.dot(w[:, :, a, b], hp[:, start:start + n])
+    return out.reshape(out_c, rows, wp)[:, :, :cols]
 
 
 def _conv_layer_adjoint(g, w):
@@ -107,30 +119,31 @@ def _conv_layer_adjoint(g, w):
 def feature_forward(y: np.ndarray, stack: ConvStack):
     """Run the extractor on a 2-D field.
 
-    Returns ``(features, pre)``: the (n_sites, out_channels) features and
-    the pre-activations of the hidden layers, which the Jacobian passes
-    :func:`feature_vjp` and :func:`feature_jvp` take.
+    Returns ``(features, slopes)``: the (n_sites, out_channels) features
+    and the activation slopes ``smoothed_relu_deriv`` of the hidden layers,
+    which the Jacobian passes :func:`feature_vjp` and :func:`feature_jvp`
+    take.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         raise InputError("feature_forward expects a 2-D field")
     h = y[None]
-    pre = []
+    slopes = []
     for li, w in enumerate(stack.layers):
         z = _conv_layer(h, w)
         if li < stack.n_layers - 1:
-            pre.append(z)
+            slopes.append(smoothed_relu_deriv(z, stack.activation_delta))
             h = smoothed_relu(z, stack.activation_delta)
         else:
             h = z
-    return h.reshape(h.shape[0], -1).T, pre
+    return h.reshape(h.shape[0], -1).T, slopes
 
 
 def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
-                pre) -> np.ndarray:
+                slopes) -> np.ndarray:
     """Jacobian-transpose of the extractor at ``y`` applied to ``cotangent``.
 
-    ``cotangent`` is (n_sites, out_channels) and ``pre`` comes from
+    ``cotangent`` is (n_sites, out_channels) and ``slopes`` comes from
     :func:`feature_forward` at ``y``; the result has the shape of ``y``.
     """
     y = np.asarray(y, dtype=float)
@@ -142,15 +155,15 @@ def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
     for li in range(stack.n_layers - 1, -1, -1):
         g = _conv_layer_adjoint(g, stack.layers[li])
         if li > 0:
-            g = g * smoothed_relu_deriv(pre[li - 1], stack.activation_delta)
+            g = g * slopes[li - 1]
     return g[0]
 
 
 def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
-                pre) -> np.ndarray:
+                slopes) -> np.ndarray:
     """Directional derivative of the extractor at ``y`` along ``tangent``.
 
-    ``pre`` comes from :func:`feature_forward` at ``y``. Returns an
+    ``slopes`` comes from :func:`feature_forward` at ``y``. Returns an
     (n_sites, out_channels) array; used by the power iteration in
     :func:`lipschitz_estimate`.
     """
@@ -162,7 +175,7 @@ def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
     for li, w in enumerate(stack.layers):
         hv = _conv_layer(hv, w)
         if li < stack.n_layers - 1:
-            hv = hv * smoothed_relu_deriv(pre[li], stack.activation_delta)
+            hv = hv * slopes[li]
     return hv.reshape(hv.shape[0], -1).T
 
 
@@ -198,10 +211,10 @@ def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
     is the :func:`feature_forward` result at ``y``, if already computed."""
     if not eps > 0:
         raise ConfigError("smoothing eps must be positive")
-    features, pre = forward if forward is not None else feature_forward(y, stack)
+    features, slopes = forward if forward is not None else feature_forward(y, stack)
     norms = _site_norms(features)
     scale = np.where(norms <= eps, 1.0 / eps, 1.0 / np.where(norms > 0, norms, 1.0))
-    return feature_vjp(y, stack, features * scale[:, None], pre)
+    return feature_vjp(y, stack, features * scale[:, None], slopes)
 
 
 def power_iteration(apply, v: np.ndarray, power_iters: int) -> float:
@@ -231,9 +244,9 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     """
     rng = np.random.default_rng(0)
     y = rng.standard_normal(probe_shape)
-    _, pre = feature_forward(y, stack)
+    _, slopes = feature_forward(y, stack)
     m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
-        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, pre), pre),
+        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, slopes), slopes),
         rng.standard_normal(probe_shape), 30)
     curvature = 0.0 if stack.n_layers == 1 else (
         math.prod(float(np.linalg.norm(w)) for w in stack.layers)

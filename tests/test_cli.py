@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import re
 import string
 import struct
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -72,7 +74,10 @@ class TestPipeline:
             rep = json.load(fh)
         assert rep["psnr_db"] == "inf" or rep["psnr_db"] > 0
 
-    def test_manifest_contents(self, tmp_path):
+    def test_manifest_contents(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = write_config(tmp_path)
         for cmd in ("phantom", "simulate", "reconstruct"):
             assert main([cmd, "--config", str(cfg)]) == 0
@@ -80,7 +85,13 @@ class TestPipeline:
             manifest = json.load(fh)
         assert manifest["command"] == "reconstruct"
         assert manifest["config_sha256"] == io.config_hash(cfg)
-        assert "dualct" in manifest["versions"]
+        assert set(manifest["versions"]) == {"dualct", "numpy", "scipy", "python"}
+        assert manifest["versions"]["scipy"] == scipy.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}
+        assert manifest["nproc"] == len(os.sched_getaffinity(0)) >= 1
 
     def test_reconstruction_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -306,6 +317,28 @@ class TestExitCodes:
         assert main(["phantom", "--config", str(cfg)]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and message in err and str(path) in err
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("noise.seed", {"noise": {"model": "gaussian", "sigma": 0.1, "seed": -1}}),
+        ("noise.seed", {"noise": {"model": "poisson-transmission", "photons": 1e4, "seed": -1}}),
+        ("regularizers.image.seed", {"regularizers": {"image": {"source": "random", "seed": -1}}}),
+        ("regularizers.sinogram.seed",
+         {"regularizers": {"sinogram": {"source": "random", "seed": -5}}}),
+    ])
+    @pytest.mark.parametrize("cmd", ["phantom", "simulate"])
+    def test_negative_config_seed(self, tmp_path, capsys, key, overrides, cmd):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([cmd, "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {key} must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_flag(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--kind", "random", "--out", str(tmp_path / "w.bin"),
+                  "--seed", seed])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "w.bin").exists()
 
     @pytest.mark.parametrize("random", [{"channels": 0}, {"channels": -1}, {"kernel": [-1, 3]}])
     def test_empty_random_weights(self, tmp_path, capsys, random):

@@ -105,12 +105,12 @@ class TestFeatureExtractor:
     def test_vjp_is_adjoint_of_jvp(self, rng):
         stack = make_random_weights(3, n_layers=2, n_channels=4)
         y = rng.standard_normal((10, 8))
-        _, pre = feature_forward(y, stack)
+        _, slopes = feature_forward(y, stack)
         for _ in range(20):
             v = rng.standard_normal(y.shape)
             u = rng.standard_normal((y.size, stack.out_channels))
-            jv = feature_jvp(y, stack, v, pre)
-            jtu = feature_vjp(y, stack, u, pre)
+            jv = feature_jvp(y, stack, v, slopes)
+            jtu = feature_vjp(y, stack, u, slopes)
             lhs = np.sum(jv * u)
             rhs = np.sum(v * jtu)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -137,15 +137,28 @@ class TestFeatureExtractor:
         fplus, _ = feature_forward(y + h * v, stack)
         fminus, _ = feature_forward(y - h * v, stack)
         fd = (fplus - fminus) / (2 * h)
-        _, pre = feature_forward(y, stack)
-        np.testing.assert_allclose(feature_jvp(y, stack, v, pre), fd, atol=1e-6)
+        _, slopes = feature_forward(y, stack)
+        np.testing.assert_allclose(feature_jvp(y, stack, v, slopes), fd, atol=1e-6)
 
     def test_cotangent_shape_checked(self, rng):
         stack = make_tv_weights()
         y = rng.standard_normal((6, 6))
-        _, pre = feature_forward(y, stack)
+        _, slopes = feature_forward(y, stack)
         with pytest.raises(InputError):
-            feature_vjp(y, stack, np.zeros((36, 5)), pre)
+            feature_vjp(y, stack, np.zeros((36, 5)), slopes)
+
+
+def _conv_layer_reference(h, w):
+    """The conv pass written out with ``ndimage.correlate``:
+    h (in_c, H, W) -> (out_c, H, W), summing over input channels in order."""
+    from scipy import ndimage
+    out = np.empty((w.shape[0],) + h.shape[1:])
+    for o in range(w.shape[0]):
+        acc = ndimage.correlate(h[0], w[o, 0], mode="constant")
+        for i in range(1, w.shape[1]):
+            acc += ndimage.correlate(h[i], w[o, i], mode="constant")
+        out[o] = acc
+    return out
 
 
 def _conv_layer_transpose_reference(g, w):
@@ -161,21 +174,81 @@ def _conv_layer_transpose_reference(g, w):
     return out
 
 
+def assert_matches_reference(got, h, w, reference):
+    """``got`` equals ``reference(h, w)`` to 1e-13 relative to the sum of
+    absolute terms at each site, ``reference(|h|, |w|)``: the per-tap BLAS
+    products sum over channels in another order than the reference."""
+    want = reference(h, w)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * reference(np.abs(h), np.abs(w)))
+
+
+def assert_adjoint(h, g, w):
+    """<K h, g> == <h, K^T g> to 1e-12 relative to the sum of the absolute
+    terms, which bounds both sides."""
+    lhs = np.sum(regularizer._conv_layer(h, w) * g)
+    rhs = np.sum(h * regularizer._conv_layer_adjoint(g, w))
+    scale = np.sum(_conv_layer_reference(np.abs(h), np.abs(w)) * np.abs(g))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
 class TestTransposedConv:
+    """The conv pass and its transpose against the ndimage references.
+
+    The per-tap BLAS products sum over channels in another order than the
+    references, so outputs match them to rounding; only single-input-channel
+    forward passes, TV's included, match byte for byte."""
+
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 15), (5, 3), (3, 1)])
     @pytest.mark.parametrize("in_c, out_c", [(1, 1), (1, 16), (8, 8), (16, 3)])
     def test_bytes_match_convolve(self, rng, kernel, in_c, out_c):
         w = rng.standard_normal((out_c, in_c) + kernel)
         w[rng.random(w.shape) < 0.3] = 0.0  # zero taps
         g = rng.standard_normal((out_c, 9, 17))
-        got = regularizer._conv_layer_adjoint(g, w)
-        assert got.tobytes() == _conv_layer_transpose_reference(g, w).tobytes()
+        h = rng.standard_normal((in_c, 9, 17))
+        assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
+                                 _conv_layer_transpose_reference)
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
+        assert_adjoint(h, g, w)
 
     def test_tv_bytes_match_convolve(self, rng):
         w = make_tv_weights(scale=0.7).layers[0]
         g = rng.standard_normal((2, 12, 10))
-        got = regularizer._conv_layer_adjoint(g, w)
-        assert got.tobytes() == _conv_layer_transpose_reference(g, w).tobytes()
+        h = rng.standard_normal((1, 12, 10))
+        assert regularizer._conv_layer(h, w).tobytes() == _conv_layer_reference(h, w).tobytes()
+        assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
+                                 _conv_layer_transpose_reference)
+
+    @pytest.mark.parametrize("kernel, out_c", [((3, 3), 1), ((3, 15), 16), ((5, 3), 8)])
+    def test_single_input_channel_bytes_match_correlate(self, rng, kernel, out_c):
+        # each tap's product is a plain multiply, added tap by tap in
+        # row-major order, as ndimage adds them
+        w = rng.standard_normal((out_c, 1) + kernel)
+        w[rng.random(w.shape) < 0.3] = 0.0
+        h = rng.standard_normal((1, 9, 17))
+        got = regularizer._conv_layer(h, w)
+        assert got.tobytes() == _conv_layer_reference(h, w).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4),
+                          st.integers(0, 4), st.integers(1, 9), st.integers(1, 9)),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_random_shapes(self, dims, zeros, seed):
+        # odd kernels from 1x1 up to 9x9, so some are wider or taller than
+        # the field; no, 30% or all of the taps zero
+        out_c, in_c, kh, kw, rows, cols = dims
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((out_c, in_c, 2 * kh + 1, 2 * kw + 1))
+        w[rng.random(w.shape) < zeros] = 0.0
+        h = rng.standard_normal((in_c, rows, cols))
+        g = rng.standard_normal((out_c, rows, cols))
+        got = regularizer._conv_layer(h, w)
+        assert_matches_reference(got, h, w, _conv_layer_reference)
+        assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
+                                 _conv_layer_transpose_reference)
+        assert_adjoint(h, g, w)
+        if zeros == 1.0:
+            assert not np.any(got)
 
 
 class TestSmoothedRegularizer:

@@ -360,16 +360,18 @@ class TestPinnedOutputs:
     these hashes; a change that alters the arithmetic updates them and says
     so. The TV run takes both branches and reaches eps_tol (263 iterations,
     128 BCD, 11 eps reductions); the random-stack run re-derives its
-    regularizer steps after 3 eps reductions.
+    regularizer steps after 3 eps reductions. The conv layers sum over
+    channels inside BLAS, so the hashes also pin the BLAS build; they were
+    recorded with OpenBLAS 0.3.31, which gives them at 1 and 2 threads.
     """
 
     PINS = {
-        "tv": ("978d9cda148bd3f5ea3b4a500c480d58761680bea8dff37ceb37b60fa0c2d81c",
-               "af75b45780fa27f611882122050a78b94b595d3988088f4218ba155fed82548e",
-               "8692e95931cbc33452a0b789660d5d3e581bcbc1e4f1c08a7a2db81fbf5fdadb"),
-        "random": ("f0159efaf8223dc95b500ed0ccfb493d99c3f0f8019d04553ebbf3b70673342c",
-                   "1a91b4e82d5fd33f587cccecf321bba4df4b13601cfed5d4d549fefe226cae0e",
-                   "76db62c44fcddbec3f246d9dde84fd5a408d772f46e97400abdf7ef8ee318bd3"),
+        "tv": ("f631c6f1be586df40e907ee7dbbb17d5f4c818b56878a2b58774aa9292803905",
+               "08de5b7adb7aa341210fea7be29070a8c25a12814f2dc525f3c24aaf695e9410",
+               "e5dccf1589bbcba632126260790f4c62dc484780cfbf08a97687323fbcad1b87"),
+        "random": ("a081d5ad40ee1ef1a29dd0c1a99e0b1a8fb337ba8f2a6c62d99279c69119c6ef",
+                   "109c3edb20cdc9729a45bda2cbf89e0348ec415b69881aea192bf72498773975",
+                   "9e9b813927f238095ded913516187d3ba4d2ffb8a313b74d259fdf90da7748b0"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINS))
