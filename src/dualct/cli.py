@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
@@ -71,7 +70,11 @@ def _numeric_environment() -> dict:
     """What the floating-point results depend on beyond the inputs: library
     versions, the BLAS build and the thread settings it reads (the conv
     layers sum over channels inside BLAS, in an order that can change with
-    the thread count), and the cores this process may use."""
+    the thread count), and the cores this process may use. scipy is
+    imported here, not at module level, so that commands building no
+    matrix never load it."""
+    import scipy
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "versions": {"dualct": __version__, "numpy": np.__version__, "scipy": scipy.__version__,

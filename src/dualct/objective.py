@@ -16,7 +16,8 @@ import numpy as np
 
 from . import regularizer as reg
 from .errors import ConfigError, NumericalError
-from .tomo import Image, ScanGeometry, Sinogram, ViewMask, system_matrix
+from .tomo import (Image, ScanGeometry, Sinogram, ViewMask, system_matrix,
+                   system_matrix_transpose)
 
 @dataclass
 class DualState:
@@ -77,8 +78,7 @@ class Point:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
             raise NumericalError("non-finite iterate")
         self.spec, self.x, self.z = spec, x, z
-        self._a = system_matrix(spec.geometry)
-        self.ax = (self._a @ x.ravel()).reshape(spec.sino_shape())
+        self.ax = (system_matrix(spec.geometry) @ x.ravel()).reshape(spec.sino_shape())
         self.proj_res = self.ax - z
         self.data_res = z[spec.mask.indices()] - spec.measured.values
         self.f = float(0.5 * np.sum(self.proj_res**2)
@@ -91,7 +91,7 @@ class Point:
     def grad_f_x(self, z: np.ndarray | None = None) -> np.ndarray:
         """A^T (Ax - z) for this point's z or a given one; applies only A^T."""
         res = self.proj_res if z is None else self.ax - z
-        return (self._a.T @ res.ravel()).reshape(self.x.shape)
+        return (system_matrix_transpose(self.spec.geometry) @ res.ravel()).reshape(self.x.shape)
 
     @cached_property
     def grad_f(self) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +164,9 @@ def block_lipschitz(spec: ProblemSpec):
     whose norm is the largest eigenvalue of [[s^2, -s], [-s, l_z]] at s^2 = l_x; the
     bound is exact when every view is measured or lambda is 0.
     """
-    a = system_matrix(spec.geometry)
+    a, at = system_matrix(spec.geometry), system_matrix_transpose(spec.geometry)
     l_z = 1.0 + spec.lam
-    l_x = reg.power_iteration(lambda v: a.T @ (a @ v),
+    l_x = reg.power_iteration(lambda v: at @ (a @ v),
                               np.random.default_rng(0).standard_normal(a.shape[1]), 50)
     return l_z, l_x, (l_x + l_z + np.sqrt((l_x - l_z)**2 + 4.0 * l_x)) / 2
 

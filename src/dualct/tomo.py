@@ -9,14 +9,28 @@ transpose of the forward projector by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, InputError
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 PARALLEL = "parallel"
 FAN = "fan"
+
+
+def _check_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(value, name: str) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +43,10 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        _check_int(self.nx, "nx")
+        _check_int(self.ny, "ny")
+        _check_finite(self.pixel_size, "pixel_size")
+        _check_finite(self.origin, "origin")
         if self.nx < 1 or self.ny < 1:
             raise ConfigError(f"grid needs nx, ny >= 1, got ({self.nx}, {self.ny})")
         if not self.pixel_size > 0:
@@ -75,6 +93,9 @@ class ScanGeometry:
     def __post_init__(self):
         if self.kind not in (PARALLEL, FAN):
             raise ConfigError(f"unknown geometry kind {self.kind!r}")
+        _check_int(self.n_dets, "n_dets")
+        for name in ("det_spacing", "source_radius", "source_to_detector"):
+            _check_finite(getattr(self, name), name)
         if self.n_dets < 1:
             raise ConfigError("n_dets must be >= 1")
         if not self.det_spacing > 0:
@@ -82,6 +103,8 @@ class ScanGeometry:
         a = np.asarray(self.angles, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ConfigError("angles must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(a)):
+            raise ConfigError("angles must be finite")
         if np.any(np.diff(a) <= 0):
             raise ConfigError("angles must be strictly increasing")
         if self.kind == FAN:
@@ -303,24 +326,10 @@ def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
     return np.repeat(rays, n_seg)[ok], iy[ok] * grid.nx + ix[ok], lengths[ok]
 
 
-# Matrices of the most recently used geometries; a 128^2 matrix with 180
-# views takes about 46 MB, so a process sweeping geometries keeps only a few.
-_MATRIX_CACHE_SIZE = 4
-_MATRIX_CACHE: dict[ScanGeometry, sp.csr_matrix] = {}
-
-
-def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
-    """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths,
-    one ray through the center of each detector bin.
-
-    All rays of a view are traced in one vectorized pass. Cached per
-    geometry; the cache keeps the ``_MATRIX_CACHE_SIZE`` most recently
-    used matrices.
-    """
-    cached = _MATRIX_CACHE.pop(geo, None)
-    if cached is not None:
-        _MATRIX_CACHE[geo] = cached
-        return cached
+def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
+    # imported here: loading scipy.sparse is a large share of a CLI
+    # command's start-up, and most commands never build a matrix
+    import scipy.sparse as sp
 
     grid = geo.grid
     n_rows = geo.n_views_full * geo.n_dets
@@ -341,10 +350,60 @@ def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     vals = np.concatenate(vals)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, grid.nx * grid.ny))
     mat.sum_duplicates()
-    if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
-        del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
-    _MATRIX_CACHE[geo] = mat
     return mat
+
+
+@dataclass
+class _Matrices:
+    """The cached operators of one geometry: A, and A^T once an adjoint
+    has been applied."""
+
+    a: sp.csr_matrix
+    at: sp.csr_matrix | None = None
+
+
+# Operators of the most recently used geometries; at 128^2 with 180 views A
+# takes about 46 MB, and A^T as much again once built, so a process
+# sweeping geometries keeps only a few.
+_MATRIX_CACHE_SIZE = 4
+_MATRIX_CACHE: dict[ScanGeometry, _Matrices] = {}
+
+
+def _cached(geo: ScanGeometry) -> _Matrices:
+    entry = _MATRIX_CACHE.pop(geo, None)
+    if entry is None:
+        entry = _Matrices(_build_system_matrix(geo))
+        if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
+            del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
+    _MATRIX_CACHE[geo] = entry
+    return entry
+
+
+def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
+    """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths,
+    one ray through the center of each detector bin.
+
+    All rays of a view are traced in one vectorized pass. Cached per
+    geometry; the cache keeps the operators of the ``_MATRIX_CACHE_SIZE``
+    most recently used geometries.
+    """
+    return _cached(geo).a
+
+
+def system_matrix_transpose(geo: ScanGeometry) -> sp.csr_matrix:
+    """A^T of :func:`system_matrix` as its own CSR matrix, so each adjoint
+    product is a row gather rather than a column scatter.
+
+    Built from the cached A on the first call for a geometry, never inside
+    the build of A, whose coordinate arrays would otherwise be alive at the
+    same time; evicted with A. Each output adds its terms in the same order
+    as the scatter product through A's column view, so the results are
+    byte-identical to it.
+    """
+    entry = _cached(geo)
+    if entry.at is None:
+        entry.at = entry.a.T.tocsr()
+    return entry.at
 
 
 def forward_project(img: Image, geo: ScanGeometry) -> Sinogram:
@@ -363,7 +422,7 @@ def back_project(sino: Sinogram, geo: ScanGeometry) -> Image:
     """
     if sino.geometry != geo:
         raise ConfigError("sinogram geometry does not match")
-    vals = system_matrix(geo).T @ zero_fill_views(sino).values.ravel()
+    vals = system_matrix_transpose(geo) @ zero_fill_views(sino).values.ravel()
     return Image(geo.grid, vals.reshape(geo.grid.shape))
 
 

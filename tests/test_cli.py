@@ -5,6 +5,8 @@ import os
 import re
 import string
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,6 +75,31 @@ class TestPipeline:
         with open(out / "metrics.json") as fh:
             rep = json.load(fh)
         assert rep["psnr_db"] == "inf" or rep["psnr_db"] > 0
+
+    def test_scipy_loaded_only_to_build_a_matrix(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        # a fresh interpreter, as this one has scipy loaded already
+        script = f"""
+import sys
+from dualct.cli import main
+cfg = {str(cfg)!r}
+metrics = ["metrics", "--test", {str(out / "fbp.f64")!r}, "--ref", {str(out / "phantom.f64")!r}]
+for argv in (["phantom", "--config", cfg], ["init", "--config", cfg],
+             ["fbp", "--config", cfg], metrics):
+    assert main(argv) == 0, argv
+    assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], argv
+assert main(["simulate", "--config", cfg]) == 0
+assert "scipy.sparse" in sys.modules
+"""
+        src = str(Path(io.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_manifest_contents(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -17,7 +17,7 @@ from dualct.solver import (BRANCH_BCD, BRANCH_EDC, CSV_COLUMNS, IterateLog,
                            resolve_steps, run, smoothing_update)
 from dualct.tomo import (GridSpec, Image, Sinogram, forward_project,
                          parallel_geometry, subsample_views, system_matrix,
-                         uniform_mask)
+                         system_matrix_transpose, uniform_mask)
 
 
 def _problem(rng, n=12, n_views=18, n_dets=13, n_keep=6, tv_scale=0.02, lam=10.0):
@@ -222,18 +222,14 @@ class TestRun:
 
 
 class _CountingMatrix:
-    """Sparse-matrix proxy that counts A @ v and A.T @ v."""
+    """Sparse-matrix proxy that counts its products under ``key``."""
 
-    def __init__(self, mat, counts, key="A", t_key="AT"):
-        self._mat, self._counts, self._key, self._t_key = mat, counts, key, t_key
+    def __init__(self, mat, counts, key):
+        self._mat, self._counts, self._key = mat, counts, key
 
     def __matmul__(self, other):
         self._counts[self._key] += 1
         return self._mat @ other
-
-    @property
-    def T(self):
-        return _CountingMatrix(self._mat.T, self._counts, self._t_key, self._key)
 
     def __getattr__(self, attr):
         return getattr(self._mat, attr)
@@ -243,7 +239,9 @@ class TestOperatorCounts:
     def test_projector_applications_per_iteration(self, monkeypatch):
         counts = {"A": 0, "AT": 0}
         monkeypatch.setattr(objective, "system_matrix",
-                            lambda geo: _CountingMatrix(system_matrix(geo), counts))
+                            lambda geo: _CountingMatrix(system_matrix(geo), counts, "A"))
+        monkeypatch.setattr(objective, "system_matrix_transpose",
+                            lambda geo: _CountingMatrix(system_matrix_transpose(geo), counts, "AT"))
         marks = []
         step = solver.candidate_step
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from dualct.simdata import PhantomSpec, make_phantom
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, ScanGeometry,
                          Sinogram, ViewMask, back_project, fan_geometry,
                          fbp_reconstruct, forward_project, parallel_geometry,
-                         subsample_views, system_matrix, uniform_mask,
-                         upsample_sinogram_linear, zero_fill_views)
+                         subsample_views, system_matrix, system_matrix_transpose,
+                         uniform_mask, upsample_sinogram_linear, zero_fill_views)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +159,33 @@ class TestSystemMatrix:
                for a in (mat.indptr, mat.indices, mat.data)]
         assert got == expected
 
+    @pytest.mark.parametrize("name", ["fan", "grid1x1", "rect_offset_wide", "tv64"])
+    def test_transpose_products_match_scatter_bytes(self, name, rng):
+        geo = self.PINNED[name][0]()
+        mat = system_matrix(geo)
+        r = rng.standard_normal(mat.shape[0])
+        assert (system_matrix_transpose(geo) @ r).tobytes() == (mat.T @ r).tobytes()
+
     def test_cache_evicts_least_recently_used(self, grid8, monkeypatch):
         cache = {}
         monkeypatch.setattr(tomo, "_MATRIX_CACHE", cache)
         geos = [parallel_geometry(3 + k, 5, grid8) for k in range(tomo._MATRIX_CACHE_SIZE + 1)]
         mats = [system_matrix(geo) for geo in geos[:-1]]
+        transposes = [system_matrix_transpose(geo) for geo in geos[:-1]]
+        assert system_matrix_transpose(geos[0]) is transposes[0]  # built once
         assert system_matrix(geos[0]) is mats[0]  # now the most recently used
         system_matrix(geos[-1])
         assert len(cache) == tomo._MATRIX_CACHE_SIZE
         assert system_matrix(geos[0]) is mats[0]
+        assert system_matrix_transpose(geos[0]) is transposes[0]
+        # geos[1] was evicted, its transpose with it
         rebuilt = system_matrix(geos[1])
         assert rebuilt is not mats[1]
         assert (rebuilt != mats[1]).nnz == 0
+        rebuilt_t = system_matrix_transpose(geos[1])
+        assert rebuilt_t is not transposes[1]
+        assert (rebuilt_t != transposes[1]).nnz == 0
+        assert len(cache) == tomo._MATRIX_CACHE_SIZE
 
 
 class TestForwardProject:
@@ -393,6 +409,10 @@ class TestFBP:
             fbp_reconstruct(sino, geo)
 
 
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NOT_INTEGER = st.one_of(st.floats(), st.booleans())
+
+
 class TestGeometryValidation:
     def test_bad_kind(self, grid8):
         with pytest.raises(ConfigError):
@@ -416,3 +436,31 @@ class TestGeometryValidation:
     def test_system_matrix_cached(self, grid8):
         geo = parallel_geometry(5, 7, grid8)
         assert system_matrix(geo) is system_matrix(geo)
+
+    # each field of GridSpec and ScanGeometry with the values it must refuse;
+    # a NaN angle would otherwise get no rays and make the geometry unequal
+    # to itself, so its cached matrix would never be found again
+    BAD_VALUES = {
+        "nx": _NOT_INTEGER,
+        "ny": _NOT_INTEGER,
+        "pixel_size": _NOT_FINITE,
+        "origin": st.one_of(st.tuples(_NOT_FINITE, st.just(0.0)),
+                            st.tuples(st.just(0.0), _NOT_FINITE)),
+        "angles": st.builds(lambda bad, i: (0.0, 1.0, 2.0)[:i] + (bad,) + (0.0, 1.0, 2.0)[i:],
+                            _NOT_FINITE, st.integers(0, 3)),
+        "n_dets": _NOT_INTEGER,
+        "det_spacing": _NOT_FINITE,
+        "source_radius": _NOT_FINITE,
+        "source_to_detector": _NOT_FINITE,
+    }
+
+    @pytest.mark.parametrize("field", sorted(BAD_VALUES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rejects_non_finite_and_non_integer(self, field, data):
+        grid = {"nx": 8, "ny": 8, "pixel_size": 0.25, "origin": (0.0, 0.0)}
+        geo = {"kind": data.draw(st.sampled_from([PARALLEL, FAN])), "angles": (0.0, 1.0, 2.0),
+               "n_dets": 5, "det_spacing": 0.1, "source_radius": 4.0, "source_to_detector": 8.0}
+        (grid if field in grid else geo)[field] = data.draw(self.BAD_VALUES[field])
+        with pytest.raises(ConfigError):
+            ScanGeometry(grid=GridSpec(**grid), **geo)
