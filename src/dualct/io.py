@@ -7,13 +7,13 @@ import hashlib
 import json
 import math
 from dataclasses import fields
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FormatError
+from .errors import (ConfigError, FormatError, config_float, config_int, config_seed,
+                     list_of)
 from .regularizer import (ConvStack, load_weights, make_random_weights,
                           make_tv_weights)
 from .simdata import NoiseSpec, PhantomSpec
@@ -128,49 +128,10 @@ def config_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def config_float(value, key: str) -> float:
-    """A finite config number as a float; strings such as ``1e5``, which
-    YAML 1.1 loads as strings, convert too. Bools are rejected."""
-    try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
-
-
-def config_int(value, key: str) -> int:
-    """A config integer; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def config_seed(value, key: str) -> int:
-    """A random seed: a config integer of at least 0, as numpy's generators
-    take no negative seed."""
-    seed = config_int(value, key)
-    if seed < 0:
-        raise ConfigError(f"{key} must be >= 0, got {seed}")
-    return seed
-
-
 def config_str(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
-
-
-def list_of(item, length: int | None = None):
-    """Value reader of a config list, read as a tuple of ``item`` values;
-    ``length``, when given, is the required number of entries."""
-    def read(value, key: str) -> tuple:
-        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-            raise ConfigError(f"{key} must be a list{f' of {length}' if length else ''}, "
-                              f"got {value!r}")
-        return tuple(item(v, key) for v in value)
-    return read
 
 
 def read_section(cfg, key: str, fields: dict, required=()) -> dict:

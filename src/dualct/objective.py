@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import regularizer as reg
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, config_float, read_fields
 from .tomo import (Image, ScanGeometry, Sinogram, ViewMask, system_matrix,
                    system_matrix_transpose)
 
@@ -47,6 +47,7 @@ class ProblemSpec:
     sino_weights: reg.ConvStack | None = None
 
     def __post_init__(self):
+        read_fields(self, lam=config_float)
         if self.lam < 0:
             raise ConfigError("consistency weight lambda must be nonnegative")
         if self.mask.n_views_full != self.geometry.n_views_full:

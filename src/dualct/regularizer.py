@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import (ConfigError, FormatError, InputError, config_float, config_int,
+                     config_seed, list_of, read_fields)
 
 WEIGHT_MAGIC = b"DCTW"
 WEIGHT_VERSION = 1
@@ -55,9 +56,9 @@ class ConvStack:
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("ConvStack needs at least one layer")
-        if not 0 < self.activation_delta < math.inf:
-            raise ConfigError(f"activation_delta must be positive and finite, "
-                              f"got {self.activation_delta}")
+        read_fields(self, activation_delta=config_float)
+        if not self.activation_delta > 0:
+            raise ConfigError(f"activation_delta must be positive, got {self.activation_delta}")
         in_c = 1
         for li, w in enumerate(self.layers):
             if w.ndim != 4 or min(w.shape) < 1:
@@ -271,6 +272,7 @@ def make_tv_weights(scale: float = 1.0, activation_delta: float = 0.01) -> ConvS
     far edge) make the regularizer ``scale`` times the isotropic discrete
     total variation, in either domain.
     """
+    scale = config_float(scale, "scale")
     kh = np.zeros((3, 3))
     kh[1, 1] = -scale
     kh[1, 2] = scale
@@ -290,6 +292,9 @@ def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,
                         kernel: tuple[int, int] = (3, 3), scale: float = 0.1,
                         activation_delta: float = 0.01) -> ConvStack:
     """Deterministic random stack; identical for identical seeds."""
+    seed, scale = config_seed(seed, "seed"), config_float(scale, "scale")
+    n_layers, n_channels = config_int(n_layers, "n_layers"), config_int(n_channels, "n_channels")
+    kernel = list_of(config_int, 2)(kernel, "kernel")
     if min(n_channels, *kernel) < 1:
         raise ConfigError(f"random channels and kernel must be >= 1, got {n_channels}, {kernel}")
     rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_float, config_seed, list_of, read_fields
 from .objective import DualState
 from .tomo import (GridSpec, Image, ScanGeometry, Sinogram, ViewMask,
                    fbp_reconstruct, forward_project, subsample_views,
@@ -43,9 +43,9 @@ class PhantomSpec:
             raise ConfigError(f"unknown phantom kind {self.kind!r}")
         if self.kind == "custom-ellipses" and not self.ellipses:
             raise ConfigError("custom-ellipses phantom needs an ellipse list")
+        # each ellipse is (intensity, a, b, x0, y0, phi_deg)
+        read_fields(self, ellipses=list_of(list_of(config_float, 6)))
         for e in self.ellipses:
-            if len(e) != 6:
-                raise ConfigError("each ellipse is (intensity, a, b, x0, y0, phi_deg)")
             if not (e[1] > 0 and e[2] > 0):
                 raise ConfigError("ellipse axes must be positive")
 
@@ -69,6 +69,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.model not in ("none", "gaussian", "poisson-transmission"):
             raise ConfigError(f"unknown noise model {self.model!r}")
+        read_fields(self, sigma=config_float, photons=config_float, seed=config_seed)
         if self.sigma < 0:
             raise ConfigError("gaussian sigma must be nonnegative")
         if not self.photons > 0:

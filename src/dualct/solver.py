@@ -15,11 +15,10 @@ import csv
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SolverError
+from .errors import ConfigError, NumericalError, SolverError, config_float, config_int
 from .objective import (DualState, LipschitzConstants, Point, ProblemSpec,
                         _reg_grad, evaluate, grad_norm, lipschitz_constants)
 
@@ -55,17 +54,14 @@ class SolverParams:
     max_backtracks: int = 60
 
     def validate(self) -> None:
-        """Check types and ranges; float knobs are converted with float()."""
+        """Check types and ranges; every knob is stored as read by
+        ``config_int`` or ``config_float``."""
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "int":
-                if isinstance(v, bool) or not isinstance(v, Integral):
-                    raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+                setattr(self, f.name, config_int(v, f.name))
             elif v is not None or f.type == "float":
-                try:
-                    setattr(self, f.name, float(v))
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{f.name} must be a number, got {v!r}") from None
+                setattr(self, f.name, config_float(v, f.name))
         for name in ("alpha", "beta", "alpha_hat", "beta_hat"):
             v = getattr(self, name)
             if v is not None and not v > 0:

@@ -9,28 +9,18 @@ transpose of the forward projector by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, config_float, config_int, list_of, read_fields
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 PARALLEL = "parallel"
 FAN = "fan"
-
-
-def _check_int(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_finite(value, name: str) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +33,8 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        _check_int(self.nx, "nx")
-        _check_int(self.ny, "ny")
-        _check_finite(self.pixel_size, "pixel_size")
-        _check_finite(self.origin, "origin")
+        read_fields(self, nx=config_int, ny=config_int, pixel_size=config_float,
+                    origin=list_of(config_float, 2))
         if self.nx < 1 or self.ny < 1:
             raise ConfigError(f"grid needs nx, ny >= 1, got ({self.nx}, {self.ny})")
         if not self.pixel_size > 0:
@@ -93,19 +81,16 @@ class ScanGeometry:
     def __post_init__(self):
         if self.kind not in (PARALLEL, FAN):
             raise ConfigError(f"unknown geometry kind {self.kind!r}")
-        _check_int(self.n_dets, "n_dets")
-        for name in ("det_spacing", "source_radius", "source_to_detector"):
-            _check_finite(getattr(self, name), name)
+        read_fields(self, angles=list_of(config_float), n_dets=config_int,
+                    det_spacing=config_float, source_radius=config_float,
+                    source_to_detector=config_float)
         if self.n_dets < 1:
             raise ConfigError("n_dets must be >= 1")
         if not self.det_spacing > 0:
             raise ConfigError("det_spacing must be positive")
-        a = np.asarray(self.angles, dtype=float)
-        if a.ndim != 1 or a.size == 0:
-            raise ConfigError("angles must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(a)):
-            raise ConfigError("angles must be finite")
-        if np.any(np.diff(a) <= 0):
+        if not self.angles:
+            raise ConfigError("angles must be a non-empty sequence")
+        if np.any(np.diff(self.angles) <= 0):
             raise ConfigError("angles must be strictly increasing")
         if self.kind == FAN:
             if not (self.source_radius > 0 and self.source_to_detector > 0):
@@ -128,6 +113,7 @@ def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
 
     Default detector pitch covers the grid diagonal.
     """
+    n_views, n_dets = config_int(n_views, "n_views"), config_int(n_dets, "n_dets")
     if det_spacing is None:
         xmin, xmax, ymin, ymax = grid.extent
         diag = np.hypot(xmax - xmin, ymax - ymin)
@@ -138,10 +124,11 @@ def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
 
 def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None, source_to_detector=None):
     """Evenly spaced equiangular fan-beam geometry covering [0, 2*pi)."""
+    n_views, n_dets = config_int(n_views, "n_views"), config_int(n_dets, "n_dets")
     xmin, xmax, ymin, ymax = grid.extent
     radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin)
-    if source_radius is None:
-        source_radius = 2.0 * radius
+    source_radius = (2.0 * radius if source_radius is None
+                     else config_float(source_radius, "source_radius"))
     if source_to_detector is None:
         source_to_detector = 2.0 * source_radius
     if det_spacing is None:
@@ -179,8 +166,12 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
+        idx = np.asarray(self.view_indices)
+        # an empty list reads as float64; huge ints as objects, refused below
+        if idx.size and idx.dtype.kind not in "iuO":
+            raise InputError(f"view_indices must be integers, got {idx.dtype} values")
         try:
-            self.view_indices = np.asarray(self.view_indices, dtype=int)
+            self.view_indices = np.asarray(idx, dtype=int)
         except OverflowError:
             raise InputError("view index out of range for geometry") from None
         n = self.view_indices.size
@@ -214,10 +205,11 @@ class ViewMask:
     selected: tuple[int, ...]
 
     def __post_init__(self):
-        s = np.asarray(self.selected, dtype=int)
-        if s.size == 0:
+        read_fields(self, n_views_full=config_int, selected=list_of(config_int))
+        s = self.selected
+        if not s:
             raise ConfigError("view mask must select at least one view")
-        if np.any(np.diff(s) <= 0):
+        if any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigError("mask indices must be sorted and unique")
         if s[0] < 0 or s[-1] >= self.n_views_full:
             raise ConfigError("mask index out of range")
@@ -235,6 +227,7 @@ def uniform_mask(n_views_full: int, n_keep: int) -> ViewMask:
     ``round(i * n_views_full / n_keep)`` for i < n_keep (an exact stride when
     it divides evenly; the indices never repeat because the stride is >= 1).
     """
+    n_views_full, n_keep = config_int(n_views_full, "n_views_full"), config_int(n_keep, "n_keep")
     if n_keep < 1 or n_keep > n_views_full:
         raise ConfigError(f"cannot keep {n_keep} of {n_views_full} views")
     idx = np.round(np.arange(n_keep) * n_views_full / n_keep).astype(int)
@@ -353,30 +346,22 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     return mat
 
 
-@dataclass
-class _Matrices:
-    """The cached operators of one geometry: A, and A^T once an adjoint
-    has been applied."""
+class _Operators:
+    """The projector of one geometry: A, built on construction, and A^T,
+    built from it on the first adjoint product."""
 
-    a: sp.csr_matrix
-    at: sp.csr_matrix | None = None
+    def __init__(self, geo: ScanGeometry):
+        self.a = _build_system_matrix(geo)
+
+    @cached_property
+    def at(self) -> sp.csr_matrix:
+        return self.a.T.tocsr()
 
 
 # Operators of the most recently used geometries; at 128^2 with 180 views A
 # takes about 46 MB, and A^T as much again once built, so a process
 # sweeping geometries keeps only a few.
-_MATRIX_CACHE_SIZE = 4
-_MATRIX_CACHE: dict[ScanGeometry, _Matrices] = {}
-
-
-def _cached(geo: ScanGeometry) -> _Matrices:
-    entry = _MATRIX_CACHE.pop(geo, None)
-    if entry is None:
-        entry = _Matrices(_build_system_matrix(geo))
-        if len(_MATRIX_CACHE) >= _MATRIX_CACHE_SIZE:
-            del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
-    _MATRIX_CACHE[geo] = entry
-    return entry
+_operators = lru_cache(maxsize=4)(_Operators)
 
 
 def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
@@ -384,10 +369,10 @@ def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     one ray through the center of each detector bin.
 
     All rays of a view are traced in one vectorized pass. Cached per
-    geometry; the cache keeps the operators of the ``_MATRIX_CACHE_SIZE``
-    most recently used geometries.
+    geometry; the cache keeps the operators of the 4 most recently used
+    geometries.
     """
-    return _cached(geo).a
+    return _operators(geo).a
 
 
 def system_matrix_transpose(geo: ScanGeometry) -> sp.csr_matrix:
@@ -400,10 +385,7 @@ def system_matrix_transpose(geo: ScanGeometry) -> sp.csr_matrix:
     as the scatter product through A's column view, so the results are
     byte-identical to it.
     """
-    entry = _cached(geo)
-    if entry.at is None:
-        entry.at = entry.a.T.tocsr()
-    return entry.at
+    return _operators(geo).at
 
 
 def forward_project(img: Image, geo: ScanGeometry) -> Sinogram:
@@ -456,23 +438,12 @@ def upsample_sinogram_linear(sparse: Sinogram) -> Sinogram:
     reproduced exactly.
     """
     geo = sparse.geometry
-    n_views_full = geo.n_views_full
     if sparse.n_views < 2:
         raise InputError("need at least 2 views to interpolate")
-    sel = sparse.view_indices.astype(float)
-    # wrap the first retained view past the end so every gap is bracketed
-    xp = np.concatenate([sel, [sel[0] + n_views_full]])
-    fp = np.vstack([sparse.values, sparse.values[:1]])
-    targets = (np.arange(n_views_full) - sel[0]) % n_views_full + sel[0]
-    # np.interp's arithmetic, applied to every detector column at once:
-    # the bracketing knot j, then slope*(x - xp[j]) + fp[j], and fp[j]
-    # itself at a knot
-    j = np.searchsorted(xp, targets, side="right") - 1
-    slopes = (fp[1:] - fp[:-1]) / np.diff(xp)[:, None]
-    out = slopes[j] * (targets - xp[j])[:, None] + fp[j]
-    at_knot = targets == xp[j]
-    out[at_knot] = fp[j[at_knot]]
-    return Sinogram(geo, np.arange(n_views_full), out)
+    views = np.arange(geo.n_views_full)
+    out = np.stack([np.interp(views, sparse.view_indices, column, period=geo.n_views_full)
+                    for column in sparse.values.T], axis=1)
+    return Sinogram(geo, views, out)
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,13 @@ class TestSimulateAndInitialize:
         assert z_true.values.shape == (geo.n_views_full, geo.n_dets)
         np.testing.assert_array_equal(s.values, z_true.values[mask.indices()])
 
-    def test_simulation_builds_no_transpose(self, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(tomo, "_MATRIX_CACHE", cache)
+    def test_simulation_builds_no_transpose(self):
+        tomo._operators.cache_clear()
         _, geo = _sino()
         disk = make_phantom(PhantomSpec("disk", geo.grid))
         simulate_measurement(disk, geo, uniform_mask(geo.n_views_full, 4))
-        assert [entry.at for entry in cache.values()] == [None]
+        assert tomo._operators.cache_info().currsize == 1
+        assert "at" not in vars(tomo._operators(geo))
 
     def test_initialize_anchors_and_nonnegativity(self):
         _, geo = _sino(grid_n=16, n_views=16, n_dets=17)

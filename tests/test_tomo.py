@@ -166,16 +166,17 @@ class TestSystemMatrix:
         r = rng.standard_normal(mat.shape[0])
         assert (system_matrix_transpose(geo) @ r).tobytes() == (mat.T @ r).tobytes()
 
-    def test_cache_evicts_least_recently_used(self, grid8, monkeypatch):
-        cache = {}
-        monkeypatch.setattr(tomo, "_MATRIX_CACHE", cache)
-        geos = [parallel_geometry(3 + k, 5, grid8) for k in range(tomo._MATRIX_CACHE_SIZE + 1)]
+    def test_cache_evicts_least_recently_used(self, grid8):
+        tomo._operators.cache_clear()
+        size = 4
+        assert tomo._operators.cache_info().maxsize == size
+        geos = [parallel_geometry(3 + k, 5, grid8) for k in range(size + 1)]
         mats = [system_matrix(geo) for geo in geos[:-1]]
         transposes = [system_matrix_transpose(geo) for geo in geos[:-1]]
         assert system_matrix_transpose(geos[0]) is transposes[0]  # built once
         assert system_matrix(geos[0]) is mats[0]  # now the most recently used
         system_matrix(geos[-1])
-        assert len(cache) == tomo._MATRIX_CACHE_SIZE
+        assert tomo._operators.cache_info().currsize == size
         assert system_matrix(geos[0]) is mats[0]
         assert system_matrix_transpose(geos[0]) is transposes[0]
         # geos[1] was evicted, its transpose with it
@@ -185,7 +186,7 @@ class TestSystemMatrix:
         rebuilt_t = system_matrix_transpose(geos[1])
         assert rebuilt_t is not transposes[1]
         assert (rebuilt_t != transposes[1]).nnz == 0
-        assert len(cache) == tomo._MATRIX_CACHE_SIZE
+        assert tomo._operators.cache_info().currsize == size
 
 
 class TestForwardProject:
@@ -409,8 +410,9 @@ class TestFBP:
             fbp_reconstruct(sino, geo)
 
 
-_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_NOT_INTEGER = st.one_of(st.floats(), st.booleans())
+_NOT_REAL = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, "x", "1e", None]),
+                      st.booleans())
+_NOT_INTEGER = st.one_of(st.floats(), st.booleans(), st.text(), st.none())
 
 
 class TestGeometryValidation:
@@ -433,25 +435,33 @@ class TestGeometryValidation:
         with pytest.raises(InputError, match="view index out of range"):
             Sinogram(geo, [0, 2**70], np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("view_indices", [[0.5, 1.7], [0.0, 2.0], [False, True]])
+    def test_non_integer_view_indices_rejected(self, grid8, view_indices):
+        geo = parallel_geometry(4, 5, grid8)
+        with pytest.raises(InputError, match="view_indices must be integers"):
+            Sinogram(geo, view_indices, np.zeros((2, 5)))
+
     def test_system_matrix_cached(self, grid8):
         geo = parallel_geometry(5, 7, grid8)
         assert system_matrix(geo) is system_matrix(geo)
 
-    # each field of GridSpec and ScanGeometry with the values it must refuse;
-    # a NaN angle would otherwise get no rays and make the geometry unequal
-    # to itself, so its cached matrix would never be found again
+    # each field of GridSpec and ScanGeometry with the values it must refuse:
+    # anything but an integer for a count, anything but a finite number for a
+    # real (a bool, None and a non-numeric string included); a NaN angle
+    # would otherwise get no rays and make the geometry unequal to itself, so
+    # its cached matrix would never be found again
     BAD_VALUES = {
         "nx": _NOT_INTEGER,
         "ny": _NOT_INTEGER,
-        "pixel_size": _NOT_FINITE,
-        "origin": st.one_of(st.tuples(_NOT_FINITE, st.just(0.0)),
-                            st.tuples(st.just(0.0), _NOT_FINITE)),
+        "pixel_size": _NOT_REAL,
+        "origin": st.one_of(st.tuples(_NOT_REAL, st.just(0.0)),
+                            st.tuples(st.just(0.0), _NOT_REAL)),
         "angles": st.builds(lambda bad, i: (0.0, 1.0, 2.0)[:i] + (bad,) + (0.0, 1.0, 2.0)[i:],
-                            _NOT_FINITE, st.integers(0, 3)),
+                            _NOT_REAL, st.integers(0, 3)),
         "n_dets": _NOT_INTEGER,
-        "det_spacing": _NOT_FINITE,
-        "source_radius": _NOT_FINITE,
-        "source_to_detector": _NOT_FINITE,
+        "det_spacing": _NOT_REAL,
+        "source_radius": _NOT_REAL,
+        "source_to_detector": _NOT_REAL,
     }
 
     @pytest.mark.parametrize("field", sorted(BAD_VALUES))
