@@ -59,6 +59,14 @@ def config_int(value, key: str) -> int:
     return int(value)
 
 
+def config_count(value, key: str) -> int:
+    """A count: an integer of at least 1."""
+    count = config_int(value, key)
+    if count < 1:
+        raise ConfigError(f"{key} must be >= 1, got {count}")
+    return count
+
+
 def config_seed(value, key: str) -> int:
     """A random seed: an integer of at least 0, as numpy's generators take
     no negative seed."""

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import (ConfigError, FormatError, config_float, config_int, config_seed,
-                     list_of)
+from .errors import (ConfigError, FormatError, config_count, config_float, config_int,
+                     config_seed, list_of)
 from .regularizer import (ConvStack, load_weights, make_random_weights,
                           make_tv_weights)
 from .simdata import NoiseSpec, PhantomSpec
@@ -169,12 +169,12 @@ def _read_variant(cfg, key: str, selector: str, default: str, variants: dict,
 
 def grid_from_config(cfg, key: str = "geometry.grid") -> GridSpec:
     return GridSpec(**read_section(cfg, key, {
-        "nx": config_int, "ny": config_int, "pixel_size": config_float,
+        "nx": config_count, "ny": config_count, "pixel_size": config_float,
         "origin": list_of(config_float, 2)}, required=("nx", "ny")))
 
 
 def geometry_from_config(cfg) -> ScanGeometry:
-    parallel = {"grid": grid_from_config, "n_views": config_int, "n_dets": config_int,
+    parallel = {"grid": grid_from_config, "n_views": config_count, "n_dets": config_count,
                 "det_spacing": config_float}
     fan = {**parallel, "source_radius": config_float, "source_to_detector": config_float}
     args = _read_variant(cfg, "geometry", "kind", "parallel", {
@@ -228,11 +228,10 @@ def weights_from_config(cfg, domain: str) -> ConvStack | None:
 def solver_params_from_config(cfg, mode=None) -> SolverParams:
     """Solver knobs, then the run mode. ``mode: {type: phases, phases: N}``
     runs exactly N iterations: max_iters=N with the tolerance stop off."""
-    params = SolverParams(**read_section(cfg, "solver", {
-        f.name: config_int if f.type == "int" else config_float for f in fields(SolverParams)}))
+    knobs = read_section(cfg, "solver", {
+        f.name: config_int if f.type == "int" else config_float for f in fields(SolverParams)})
     mode = _read_variant(mode, "mode", "type", "converge",
                          {"converge": {}, "phases": {"phases": config_int}})
     if mode["type"] == "phases":
-        params.max_iters, params.eps_tol = mode.get("phases", 15), 0.0
-    params.validate()
-    return params
+        knobs.update(max_iters=mode.get("phases", 15), eps_tol=0.0)
+    return SolverParams(**knobs)

@@ -50,9 +50,11 @@ class ProblemSpec:
         read_fields(self, lam=config_float)
         if self.lam < 0:
             raise ConfigError("consistency weight lambda must be nonnegative")
+        if self.measured.geometry != self.geometry:
+            raise ConfigError("measured sinogram geometry does not match")
         if self.mask.n_views_full != self.geometry.n_views_full:
             raise ConfigError("mask does not match geometry view count")
-        if not np.array_equal(self.measured.view_indices, self.mask.indices()):
+        if not np.array_equal(self.measured.view_indices, self.mask.selected):
             raise ConfigError("measured sinogram does not conform to the mask")
 
     def sino_shape(self) -> tuple[int, int]:
@@ -81,7 +83,7 @@ class Point:
         self.spec, self.x, self.z = spec, x, z
         self.ax = (system_matrix(spec.geometry) @ x.ravel()).reshape(spec.sino_shape())
         self.proj_res = self.ax - z
-        self.data_res = z[spec.mask.indices()] - spec.measured.values
+        self.data_res = z[spec.measured.view_indices] - spec.measured.values
         self.f = float(0.5 * np.sum(self.proj_res**2)
                        + 0.5 * spec.lam * np.sum(self.data_res**2))
         self._domains = ((x, spec.image_weights), (z, spec.sino_weights))
@@ -99,7 +101,7 @@ class Point:
         """(d/dx, d/dz) of the data term: A^T (Ax - z) and
         -(Ax - z) + lambda P0^T (P0 z - s)."""
         gz = -self.proj_res
-        gz[self.spec.mask.indices()] += self.spec.lam * self.data_res
+        gz[self.spec.measured.view_indices] += self.spec.lam * self.data_res
         return self.grad_f_x(), gz
 
     def phi(self, eps: float) -> float:
@@ -175,7 +177,7 @@ def block_lipschitz(spec: ProblemSpec):
 def lipschitz_regularizers(spec: ProblemSpec):
     """(image, sinogram) regularizer gradient Lipschitz estimates, as
     functions of eps; zero for an absent or all-zero regularizer."""
-    return tuple((lambda eps: 0.0) if w is None or w.is_zero()
+    return tuple((lambda eps: 0.0) if w is None
                  else reg.lipschitz_estimate(w, probe_shape)
                  for w, probe_shape in ((spec.image_weights, spec.geometry.grid.shape),
                                         (spec.sino_weights, spec.sino_shape())))

@@ -24,21 +24,12 @@ WEIGHT_VERSION = 1
 
 
 def smoothed_relu(t, delta):
-    """C^1 quadratic-spline ReLU: 0 below -delta, identity above delta."""
-    if not delta > 0:
-        raise ConfigError("activation delta must be positive")
+    """C^1 quadratic-spline ReLU (0 below -delta, identity above delta) and
+    its slope, which lies in [0, 1]; returns ``(value, slope)``."""
     t = np.asarray(t, dtype=float)
-    return np.where(t <= -delta, 0.0,
-                    np.where(t >= delta, t, (t + delta) ** 2 / (4.0 * delta)))
-
-
-def smoothed_relu_deriv(t, delta):
-    """Derivative of :func:`smoothed_relu`; lies in [0, 1]."""
-    if not delta > 0:
-        raise ConfigError("activation delta must be positive")
-    t = np.asarray(t, dtype=float)
-    return np.where(t <= -delta, 0.0,
-                    np.where(t >= delta, 1.0, (t + delta) / (2.0 * delta)))
+    low, high, shifted = t <= -delta, t >= delta, t + delta
+    return (np.where(low, 0.0, np.where(high, t, shifted**2 / (4.0 * delta))),
+            np.where(low, 0.0, np.where(high, 1.0, shifted / (2.0 * delta))))
 
 
 @dataclass(frozen=True)
@@ -80,9 +71,6 @@ class ConvStack:
     def out_channels(self) -> int:
         return self.layers[-1].shape[0]
 
-    def is_zero(self) -> bool:
-        return all(not np.any(w) for w in self.layers)
-
 
 def _conv_layer(h, w):
     """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero "same" padding.
@@ -121,7 +109,7 @@ def feature_forward(y: np.ndarray, stack: ConvStack):
     """Run the extractor on a 2-D field.
 
     Returns ``(features, slopes)``: the (n_sites, out_channels) features
-    and the activation slopes ``smoothed_relu_deriv`` of the hidden layers,
+    and the :func:`smoothed_relu` slopes of the hidden layers,
     which the Jacobian passes :func:`feature_vjp` and :func:`feature_jvp`
     take.
     """
@@ -131,12 +119,10 @@ def feature_forward(y: np.ndarray, stack: ConvStack):
     h = y[None]
     slopes = []
     for li, w in enumerate(stack.layers):
-        z = _conv_layer(h, w)
+        h = _conv_layer(h, w)
         if li < stack.n_layers - 1:
-            slopes.append(smoothed_relu_deriv(z, stack.activation_delta))
-            h = smoothed_relu(z, stack.activation_delta)
-        else:
-            h = z
+            h, slope = smoothed_relu(h, stack.activation_delta)
+            slopes.append(slope)
     return h.reshape(h.shape[0], -1).T, slopes
 
 
@@ -265,7 +251,7 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
 # Weight provisioning and I/O
 # ---------------------------------------------------------------------------
 
-def make_tv_weights(scale: float = 1.0, activation_delta: float = 0.01) -> ConvStack:
+def make_tv_weights(scale: float = 1.0) -> ConvStack:
     """Single linear layer with forward-difference kernels.
 
     Two 3x3 kernels (horizontal and vertical difference, zero beyond the
@@ -279,13 +265,12 @@ def make_tv_weights(scale: float = 1.0, activation_delta: float = 0.01) -> ConvS
     kv = np.zeros((3, 3))
     kv[1, 1] = -scale
     kv[2, 1] = scale
-    w = np.stack([kh, kv])[:, None]
-    return ConvStack((w,), activation_delta)
+    return ConvStack((np.stack([kh, kv])[:, None],))
 
 
-def make_zero_weights(n_channels: int = 1, kernel: tuple[int, int] = (3, 3)) -> ConvStack:
-    """All-zero single layer; the regularizer vanishes identically."""
-    return ConvStack((np.zeros((n_channels, 1) + kernel),))
+def make_zero_weights() -> ConvStack:
+    """All-zero single 3x3 layer; the regularizer vanishes identically."""
+    return ConvStack((np.zeros((1, 1, 3, 3)),))
 
 
 def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,

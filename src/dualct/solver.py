@@ -18,7 +18,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SolverError, config_float, config_int
+from .errors import (ConfigError, NumericalError, SolverError, config_float, config_int,
+                     read_fields)
 from .objective import (DualState, LipschitzConstants, Point, ProblemSpec,
                         _reg_grad, evaluate, grad_norm, lipschitz_constants)
 
@@ -26,10 +27,10 @@ BRANCH_EDC = "EDC"
 BRANCH_BCD = "BCD"
 
 
-
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
-    """All scalar knobs of the solver.
+    """All scalar knobs of the solver, checked on construction; every knob
+    is stored as read by ``config_int`` or ``config_float``.
 
     Candidate step sizes left as None are derived from Lipschitz
     estimates (1/L of the block Hessian for the data steps, the
@@ -53,15 +54,11 @@ class SolverParams:
     max_iters: int = 1000
     max_backtracks: int = 60
 
-    def validate(self) -> None:
-        """Check types and ranges; every knob is stored as read by
-        ``config_int`` or ``config_float``."""
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "int":
-                setattr(self, f.name, config_int(v, f.name))
-            elif v is not None or f.type == "float":
-                setattr(self, f.name, config_float(v, f.name))
+    def __post_init__(self):
+        # a step left at its default None stays None; every other knob is read
+        read_fields(self, **{f.name: config_int if f.type == "int" else config_float
+                             for f in fields(self)
+                             if getattr(self, f.name) is not None or f.default is not None})
         for name in ("alpha", "beta", "alpha_hat", "beta_hat"):
             v = getattr(self, name)
             if v is not None and not v > 0:
@@ -232,9 +229,8 @@ def _check_backtrack_budget(lip: LipschitzConstants, params: SolverParams) -> No
     """Configure-time guard: the shrink budget must reach an acceptable step
     at the smallest smoothing level the schedule can visit."""
     eps_min = params.eps_tol if params.eps_tol > 0 else params.eps0 * params.gamma**20
-    l_hat = lip.composite(eps_min)
-    smallest = params.rho**params.max_backtracks * max(params.bar_alpha0, params.bar_beta0)
-    if smallest >= 1.0 / (params.delta + 0.5 * l_hat):
+    # the bound counts trial steps, the budget counts shrinks between them
+    if backtrack_bound(params, lip.composite(eps_min)) > params.max_backtracks + 1:
         raise ConfigError(
             "max_backtracks too small for the Lipschitz estimate at the "
             f"smallest scheduled eps ({eps_min:g}); increase max_backtracks")
@@ -245,7 +241,6 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     below the reduction threshold (never when eps_tol is 0). Returns (final
     state, IterateLog); a step that fails numerically raises SolverError
     carrying the log so far."""
-    params.validate()
     point = evaluate(init, spec)
     lip = lipschitz_constants(spec)
     _check_backtrack_budget(lip, params)

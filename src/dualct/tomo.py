@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, InputError, config_float, config_int, list_of, read_fields
+from .errors import (ConfigError, InputError, config_count, config_float, config_int,
+                     list_of, read_fields)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -33,10 +35,8 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        read_fields(self, nx=config_int, ny=config_int, pixel_size=config_float,
+        read_fields(self, nx=config_count, ny=config_count, pixel_size=config_float,
                     origin=list_of(config_float, 2))
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError(f"grid needs nx, ny >= 1, got ({self.nx}, {self.ny})")
         if not self.pixel_size > 0:
             raise ConfigError(f"pixel_size must be positive, got {self.pixel_size}")
 
@@ -81,11 +81,9 @@ class ScanGeometry:
     def __post_init__(self):
         if self.kind not in (PARALLEL, FAN):
             raise ConfigError(f"unknown geometry kind {self.kind!r}")
-        read_fields(self, angles=list_of(config_float), n_dets=config_int,
+        read_fields(self, angles=list_of(config_float), n_dets=config_count,
                     det_spacing=config_float, source_radius=config_float,
                     source_to_detector=config_float)
-        if self.n_dets < 1:
-            raise ConfigError("n_dets must be >= 1")
         if not self.det_spacing > 0:
             raise ConfigError("det_spacing must be positive")
         if not self.angles:
@@ -113,7 +111,7 @@ def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
 
     Default detector pitch covers the grid diagonal.
     """
-    n_views, n_dets = config_int(n_views, "n_views"), config_int(n_dets, "n_dets")
+    n_views, n_dets = config_count(n_views, "n_views"), config_count(n_dets, "n_dets")
     if det_spacing is None:
         xmin, xmax, ymin, ymax = grid.extent
         diag = np.hypot(xmax - xmin, ymax - ymin)
@@ -124,7 +122,7 @@ def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
 
 def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None, source_to_detector=None):
     """Evenly spaced equiangular fan-beam geometry covering [0, 2*pi)."""
-    n_views, n_dets = config_int(n_views, "n_views"), config_int(n_dets, "n_dets")
+    n_views, n_dets = config_count(n_views, "n_views"), config_count(n_dets, "n_dets")
     xmin, xmax, ymin, ymax = grid.extent
     radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin)
     source_radius = (2.0 * radius if source_radius is None
@@ -140,6 +138,18 @@ def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None, so
                         source_radius=source_radius, source_to_detector=source_to_detector)
 
 
+def _finite_field(values, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``values`` as a finite float array of ``shape``; any array of that
+    many values is reshaped."""
+    values = np.asarray(values, dtype=float)
+    if values.size != shape[0] * shape[1]:
+        raise InputError(f"{what} of shape {shape} needs {shape[0] * shape[1]} values, "
+                         f"got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{what} contains non-finite values")
+    return values.reshape(shape)
+
+
 @dataclass
 class Image:
     """Scalar field on a pixel grid; ``values`` has shape (ny, nx)."""
@@ -148,9 +158,7 @@ class Image:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("image contains non-finite values")
+        self.values = _finite_field(self.values, self.grid.shape, "image")
 
 
 @dataclass
@@ -168,7 +176,8 @@ class Sinogram:
     def __post_init__(self):
         idx = np.asarray(self.view_indices)
         # an empty list reads as float64; huge ints as objects, refused below
-        if idx.size and idx.dtype.kind not in "iuO":
+        if idx.size and not (idx.dtype.kind in "iu" or idx.dtype.kind == "O" and all(
+                isinstance(i, Integral) and not isinstance(i, bool) for i in idx.flat)):
             raise InputError(f"view_indices must be integers, got {idx.dtype} values")
         try:
             self.view_indices = np.asarray(idx, dtype=int)
@@ -181,9 +190,7 @@ class Sinogram:
             raise InputError("view_indices must be sorted and unique")
         if self.view_indices[0] < 0 or self.view_indices[-1] >= self.geometry.n_views_full:
             raise InputError("view index out of range for geometry")
-        self.values = np.asarray(self.values, dtype=float).reshape(n, self.geometry.n_dets)
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("sinogram contains non-finite values")
+        self.values = _finite_field(self.values, (n, self.geometry.n_dets), "sinogram")
 
     @property
     def n_views(self) -> int:

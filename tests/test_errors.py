@@ -39,11 +39,6 @@ MEASURED = Sinogram(GEO, MASK.indices(), np.zeros((3, 5)))
 LAYER = np.zeros((1, 1, 3, 3))
 
 
-def _solver_params(name, value):
-    params = SolverParams(**{name: value})
-    params.validate()
-
-
 def _ellipse(i, value):
     ellipse = [1.0, 0.5, 0.5, 0.0, 0.0, 0.0]
     ellipse[i] = value
@@ -77,12 +72,12 @@ FIELDS = {
     "make_random_weights.activation_delta": (
         REAL, lambda v: make_random_weights(activation_delta=v)),
     "make_tv_weights.scale": (REAL, lambda v: make_tv_weights(scale=v)),
-    **{f"SolverParams.{name}": (REAL_GIVEN, lambda v, name=name: _solver_params(name, v))
+    **{f"SolverParams.{name}": (REAL_GIVEN, lambda v, name=name: SolverParams(**{name: v}))
        for name in ("alpha", "beta", "alpha_hat", "beta_hat")},
-    **{f"SolverParams.{name}": (REAL, lambda v, name=name: _solver_params(name, v))
+    **{f"SolverParams.{name}": (REAL, lambda v, name=name: SolverParams(**{name: v}))
        for name in ("bar_alpha0", "bar_beta0", "rho", "delta", "eta", "eps0", "gamma",
                     "sigma", "eps_tol")},
-    **{f"SolverParams.{name}": (COUNT, lambda v, name=name: _solver_params(name, v))
+    **{f"SolverParams.{name}": (COUNT, lambda v, name=name: SolverParams(**{name: v}))
        for name in ("max_iters", "max_backtracks")},
 }
 

@@ -177,6 +177,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             io.geometry_from_config({"grid": {"nx": 8, "ny": 8}, "n_views": 4})
 
+    @pytest.mark.parametrize("key, cfg", [
+        ("geometry.n_views", {"n_views": 0, "n_dets": 5}),
+        ("geometry.n_dets", {"n_views": 4, "n_dets": 0}),
+        ("geometry.grid.nx", {"grid": {"nx": 0, "ny": 8}, "n_views": 4, "n_dets": 5}),
+    ])
+    def test_geometry_empty_count_named(self, key, cfg):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
+            io.geometry_from_config({"grid": {"nx": 8, "ny": 8}, **cfg})
+
     def test_mask_variants(self):
         m = io.mask_from_config({"n_keep": 4}, 12)
         assert m.n_selected == 4

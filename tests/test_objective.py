@@ -5,7 +5,7 @@ from dualct.errors import ConfigError, NumericalError
 from dualct.objective import (DualState, Point, ProblemSpec, block_lipschitz,
                               evaluate, grad_norm, lipschitz_constants,
                               phi_unsmoothed)
-from dualct.regularizer import make_tv_weights
+from dualct.regularizer import ConvStack, make_tv_weights, make_zero_weights
 from dualct.tomo import (GridSpec, Image, Sinogram, fan_geometry, forward_project,
                          parallel_geometry, subsample_views, system_matrix,
                          uniform_mask)
@@ -59,6 +59,15 @@ class TestDataTerm:
         wrong = uniform_mask(8, 3)
         with pytest.raises(ConfigError):
             ProblemSpec(spec.geometry, wrong, spec.measured)
+
+    @pytest.mark.parametrize("det_spacing, n_dets", [(0.5, 7), (None, 9)])
+    def test_geometry_mismatch_rejected(self, rng, det_spacing, n_dets):
+        # a measurement of another detector pitch or count, at the same views
+        spec, _ = _make_problem(rng)
+        other = parallel_geometry(8, n_dets, spec.geometry.grid, det_spacing=det_spacing)
+        measured = Sinogram(other, spec.mask.indices(), np.zeros((4, n_dets)))
+        with pytest.raises(ConfigError, match="geometry does not match"):
+            ProblemSpec(spec.geometry, spec.mask, measured)
 
 
 class TestGradients:
@@ -174,6 +183,14 @@ class TestLipschitz:
         spec, _ = _make_problem(rng, with_regs=False)
         lip = lipschitz_constants(spec)
         assert (lip.image(0.1), lip.sino(0.1)) == (0.0, 0.0)
+        # an all-zero stack gives exactly 0 too: its power iteration stops
+        # at the first zero product, and its curvature has a zero norm
+        two_layers = ConvStack((np.zeros((2, 1, 3, 3)), np.zeros((1, 2, 3, 3))))
+        for w in (make_zero_weights(), two_layers):
+            zero = ProblemSpec(spec.geometry, spec.mask, spec.measured, lam=spec.lam,
+                               image_weights=w, sino_weights=w)
+            lip = lipschitz_constants(zero)
+            assert (lip.image(0.1), lip.sino(0.1)) == (0.0, 0.0)
 
 
 class TestPoint:

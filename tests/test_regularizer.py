@@ -14,38 +14,30 @@ from dualct.regularizer import (ConvStack, feature_forward,
                                 lipschitz_estimate, load_weights,
                                 make_random_weights, make_tv_weights,
                                 make_zero_weights, save_weights,
-                                smoothed_grad, smoothed_relu,
-                                smoothed_relu_deriv, smoothed_value)
+                                smoothed_grad, smoothed_relu, smoothed_value)
 
 
 class TestSmoothedRelu:
     def test_regions(self):
         d = 0.1
-        assert smoothed_relu(-0.5, d) == 0.0
-        assert smoothed_relu(0.5, d) == 0.5
-        # at t = 0 the quadratic piece gives delta/4
-        assert smoothed_relu(0.0, d) == pytest.approx(d / 4.0)
+        assert smoothed_relu(-0.5, d) == (0.0, 0.0)
+        assert smoothed_relu(0.5, d) == (0.5, 1.0)
+        # at t = 0 the quadratic piece gives delta/4, at slope 1/2
+        assert smoothed_relu(0.0, d) == pytest.approx((d / 4.0, 0.5))
 
     def test_c1_at_knots(self):
         d = 0.05
         for t in (-d, d):
-            left = smoothed_relu(t - 1e-9, d)
-            right = smoothed_relu(t + 1e-9, d)
+            (left, dl), (right, dr) = smoothed_relu(t - 1e-9, d), smoothed_relu(t + 1e-9, d)
             assert abs(left - right) < 1e-8
-            dl = smoothed_relu_deriv(t - 1e-9, d)
-            dr = smoothed_relu_deriv(t + 1e-9, d)
             assert abs(dl - dr) < 1e-7
 
     def test_derivative_matches_fd(self, rng):
         d = 0.07
         t = rng.uniform(-0.3, 0.3, size=200)
         h = 1e-7
-        fd = (smoothed_relu(t + h, d) - smoothed_relu(t - h, d)) / (2 * h)
-        np.testing.assert_allclose(smoothed_relu_deriv(t, d), fd, atol=1e-6)
-
-    def test_bad_delta(self):
-        with pytest.raises(ConfigError):
-            smoothed_relu(0.0, 0.0)
+        fd = (smoothed_relu(t + h, d)[0] - smoothed_relu(t - h, d)[0]) / (2 * h)
+        np.testing.assert_allclose(smoothed_relu(t, d)[1], fd, atol=1e-6)
 
 
 class TestConvStackValidation:
@@ -83,10 +75,6 @@ class TestConvStackValidation:
     def test_empty_random_stack_rejected(self, n_channels, kernel):
         with pytest.raises(ConfigError, match="channels and kernel must be >= 1"):
             make_random_weights(n_channels=n_channels, kernel=kernel)
-
-    def test_zero_stack_flag(self):
-        assert make_zero_weights().is_zero()
-        assert not make_tv_weights().is_zero()
 
 
 class TestFeatureExtractor:

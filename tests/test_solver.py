@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -43,20 +44,23 @@ class TestParams:
         ("max_iters", True), ("max_backtracks", "60"),
     ])
     def test_invalid_rejected(self, field, value):
-        params = SolverParams()
-        setattr(params, field, value)
         with pytest.raises(ConfigError):
-            params.validate()
+            SolverParams(**{field: value})
 
     def test_defaults_valid(self):
-        SolverParams().validate()
+        SolverParams()
 
     def test_float_fields_converted(self):
         params = SolverParams(eps_tol="1e-3", bar_alpha0=2, alpha=np.float64(0.5))
-        params.validate()
         assert params.eps_tol == 1e-3 and type(params.eps_tol) is float
         assert params.bar_alpha0 == 2.0 and type(params.bar_alpha0) is float
         assert type(params.alpha) is float
+        assert params.beta is None
+
+    def test_frozen(self):
+        # a knob changed after construction would bypass the checks
+        with pytest.raises(FrozenInstanceError):
+            SolverParams().rho = 2.0
 
 
 class TestSteps:
@@ -113,6 +117,13 @@ class TestStepMechanics:
         thresh = params.sigma * params.gamma * eps
         assert smoothing_update(eps, thresh, params) == eps          # not strict below
         assert smoothing_update(eps, thresh - 1e-12, params) == eps * params.gamma
+
+    def test_backtrack_guard_refuses_short_budget(self):
+        # one shrink from 1e6 cannot reach the step the Lipschitz bound needs
+        spec, init, _ = _pinned_problem("tv")
+        params = SolverParams(max_backtracks=1, bar_alpha0=1e6, bar_beta0=1e6)
+        with pytest.raises(ConfigError, match="max_backtracks too small"):
+            run(spec, init, params)
 
     def test_backtrack_bound_monotone(self):
         params = SolverParams()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,11 +436,27 @@ class TestGeometryValidation:
         with pytest.raises(InputError, match="view index out of range"):
             Sinogram(geo, [0, 2**70], np.zeros((2, 5)))
 
-    @pytest.mark.parametrize("view_indices", [[0.5, 1.7], [0.0, 2.0], [False, True]])
+    @pytest.mark.parametrize("view_indices", [[0.5, 1.7], [0.0, 2.0], [False, True], [0, None]])
     def test_non_integer_view_indices_rejected(self, grid8, view_indices):
         geo = parallel_geometry(4, 5, grid8)
         with pytest.raises(InputError, match="view_indices must be integers"):
             Sinogram(geo, view_indices, np.zeros((2, 5)))
+
+    def test_wrong_value_count_rejected(self, grid8):
+        with pytest.raises(InputError, match="image of shape .* needs 16 values, got 5"):
+            Image(GridSpec(4, 4, 1.0), np.zeros(5))
+        geo = parallel_geometry(4, 5, grid8)
+        with pytest.raises(InputError, match="sinogram of shape .* needs 10 values, got 3"):
+            Sinogram(geo, [0, 1], np.zeros(3))
+
+    @pytest.mark.parametrize("factory", [parallel_geometry, fan_geometry])
+    @pytest.mark.parametrize("n_views, n_dets", [(4, 0), (0, 4)])
+    def test_empty_geometry_rejected_without_warning(self, grid8, factory, n_views, n_dets):
+        # refused before the default pitch or the angle step divides by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                factory(n_views, n_dets, grid8)
 
     def test_system_matrix_cached(self, grid8):
         geo = parallel_geometry(5, 7, grid8)
