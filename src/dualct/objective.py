@@ -60,6 +60,15 @@ class ProblemSpec:
     def sino_shape(self) -> tuple[int, int]:
         return (self.geometry.n_views_full, self.geometry.n_dets)
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """A x as a full-view sinogram array."""
+        return (system_matrix(self.geometry) @ x.ravel()).reshape(self.sino_shape())
+
+    def backproject(self, r: np.ndarray) -> np.ndarray:
+        """A^T r as an image array."""
+        return (system_matrix_transpose(self.geometry) @ r.ravel()).reshape(
+            self.geometry.grid.shape)
+
 
 def _reg_grad(y: np.ndarray, weights: reg.ConvStack | None, eps: float,
               forward=None) -> np.ndarray:
@@ -71,38 +80,49 @@ def _reg_grad(y: np.ndarray, weights: reg.ConvStack | None, eps: float,
 class Point:
     """One iterate (x, z) with everything the solver evaluates at it.
 
-    Construction applies A once and keeps Ax, both residuals, the data term
-    ``f`` and each domain's extractor features with their activation slopes.
-    Gradients and phi_eps are computed on first use and kept per eps.
-    ``x`` and ``z`` are never modified and must be finite.
+    Construction keeps Ax, both residuals and the data term ``f``; it
+    applies A once unless ``ax`` (A x, known by linearity) is given.
+    Extractor features, gradients and phi_eps are computed on first use and
+    kept, the eps-dependent ones per eps. ``x`` and ``z`` are never modified
+    and must be finite.
     """
 
-    def __init__(self, spec: ProblemSpec, x: np.ndarray, z: np.ndarray):
+    def __init__(self, spec: ProblemSpec, x: np.ndarray, z: np.ndarray,
+                 ax: np.ndarray | None = None):
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
             raise NumericalError("non-finite iterate")
         self.spec, self.x, self.z = spec, x, z
-        self.ax = (system_matrix(spec.geometry) @ x.ravel()).reshape(spec.sino_shape())
+        self.ax = spec.project(x) if ax is None else ax
         self.proj_res = self.ax - z
         self.data_res = z[spec.measured.view_indices] - spec.measured.values
         self.f = float(0.5 * np.sum(self.proj_res**2)
                        + 0.5 * spec.lam * np.sum(self.data_res**2))
         self._domains = ((x, spec.image_weights), (z, spec.sino_weights))
-        self.forward = tuple(None if w is None else reg.feature_forward(y, w)
-                             for y, w in self._domains)
         self._phi, self._reg_grads, self._grad = {}, {}, {}
+
+    @cached_property
+    def forward(self):
+        """Each domain's extractor features and activation slopes (None for
+        an absent regularizer)."""
+        return tuple(None if w is None else reg.feature_forward(y, w)
+                     for y, w in self._domains)
 
     def grad_f_x(self, z: np.ndarray | None = None) -> np.ndarray:
         """A^T (Ax - z) for this point's z or a given one; applies only A^T."""
-        res = self.proj_res if z is None else self.ax - z
-        return (system_matrix_transpose(self.spec.geometry) @ res.ravel()).reshape(self.x.shape)
+        return self.spec.backproject(self.proj_res if z is None else self.ax - z)
+
+    @cached_property
+    def grad_f_z(self) -> np.ndarray:
+        """d/dz of the data term, -(Ax - z) + lambda P0^T (P0 z - s); applies
+        no operator."""
+        gz = -self.proj_res
+        gz[self.spec.measured.view_indices] += self.spec.lam * self.data_res
+        return gz
 
     @cached_property
     def grad_f(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d/dx, d/dz) of the data term: A^T (Ax - z) and
-        -(Ax - z) + lambda P0^T (P0 z - s)."""
-        gz = -self.proj_res
-        gz[self.spec.measured.view_indices] += self.spec.lam * self.data_res
-        return self.grad_f_x(), gz
+        """(d/dx, d/dz) of the data term."""
+        return self.grad_f_x(), self.grad_f_z
 
     def phi(self, eps: float) -> float:
         """Smoothed objective value f + R_eps(x) + Q_eps(z)."""
@@ -158,19 +178,39 @@ def grad_norm(gx: np.ndarray, gz: np.ndarray) -> float:
     return float(np.sqrt(np.sum(gx**2) + np.sum(gz**2)))
 
 
+def _ata_norm(spec: ProblemSpec) -> float:
+    """A certified upper bound on ||A^T A||.
+
+    A is elementwise nonnegative, so A^T A is too, and for any v > 0 the
+    Collatz-Wielandt quotient max_i (A^T A v)_i / v_i bounds its spectral
+    radius, which is its norm, from above; the Rayleigh quotient bounds it
+    from below. Power steps from the all-ones vector close the gap; they
+    stop once the two agree to 1e-12 relative, or after 50 steps. A pixel
+    no ray hits keeps v_i = 0 after the first step and is left out of the
+    maximum. 0.0 for an all-zero A.
+    """
+    v = np.ones(spec.geometry.grid.shape)
+    for _ in range(50):
+        w = spec.backproject(spec.project(v))
+        hit = v > 0
+        upper = float(np.max(w[hit] / v[hit]))
+        if upper - float(np.vdot(v, w)) / float(np.vdot(v, v)) <= 1e-12 * upper:
+            break
+        v = w / np.max(w)
+    return upper
+
+
 def block_lipschitz(spec: ProblemSpec):
     """Hessian spectral norms of f: (z-block, x-block, a bound on the whole).
 
-    l_z = 1 + lambda exactly; l_x = ||A^T A|| by 50 power-iteration steps from
-    a random start (seed 0). As P0^T P0 <= I, the Hessian
+    l_z = 1 + lambda exactly; l_x = ||A^T A||, from above (:func:`_ata_norm`).
+    As P0^T P0 <= I, the Hessian
     [[A^T A, -A^T], [-A, I + lambda P0^T P0]] is at most [[A^T A, -A^T], [-A, l_z I]],
     whose norm is the largest eigenvalue of [[s^2, -s], [-s, l_z]] at s^2 = l_x; the
     bound is exact when every view is measured or lambda is 0.
     """
-    a, at = system_matrix(spec.geometry), system_matrix_transpose(spec.geometry)
     l_z = 1.0 + spec.lam
-    l_x = reg.power_iteration(lambda v: at @ (a @ v),
-                              np.random.default_rng(0).standard_normal(a.shape[1]), 50)
+    l_x = _ata_norm(spec)
     return l_z, l_x, (l_x + l_z + np.sqrt((l_x - l_z)**2 + 4.0 * l_x)) / 2
 
 

@@ -4,9 +4,12 @@ Each iteration proposes a residual two-block candidate step (gradient step
 on the data term, then a gradient step on the smoothed regularizer of each
 block, z first). The candidate is accepted when it passes the energy
 descent conditions; otherwise a backtracked block-coordinate-descent step
-guarantees sufficient decrease. The smoothing half-width shrinks
-geometrically once the smoothed gradient is small enough at the current
-level, driving the iterates toward stationarity of the nonsmooth model.
+guarantees sufficient decrease. When solving to a tolerance, the candidate
+starts from a FISTA-extrapolated point, while the descent conditions and
+the safeguard still refer to the current iterate. The smoothing half-width
+shrinks geometrically once the smoothed gradient is small enough at the
+current level, driving the iterates toward stationarity of the nonsmooth
+model.
 """
 
 from __future__ import annotations
@@ -162,12 +165,23 @@ def resolve_steps(lip: LipschitzConstants, params: SolverParams,
 
 
 def candidate_step(point: Point, steps: StepSizes, eps: float) -> Point:
-    """Residual two-block candidate: z-block first, x-block sees the new z."""
-    b = point.z - steps.alpha * point.grad_f[1]
+    """Residual two-block candidate from ``point``: z-block first, x-block
+    sees the new z. Reads only the data term's z-gradient at ``point`` and
+    applies one A^T."""
+    b = point.z - steps.alpha * point.grad_f_z
     u_z = b - steps.alpha_hat * _reg_grad(b, point.spec.sino_weights, eps)
     c = point.x - steps.beta * point.grad_f_x(u_z)
     u_x = c - steps.beta_hat * _reg_grad(c, point.spec.image_weights, eps)
     return Point(point.spec, u_x, u_z)
+
+
+def extrapolate(point: Point, prev: Point, theta: float) -> Point:
+    """The point p + theta (p - prev); its Ax combines the two known ones,
+    so it applies no operator."""
+    def ahead(now, before):
+        return now + theta * (now - before)
+    return Point(point.spec, ahead(point.x, prev.x), ahead(point.z, prev.z),
+                 ahead(point.ax, prev.ax))
 
 
 def edc_check(point: Point, candidate: Point, params: SolverParams,
@@ -187,17 +201,24 @@ def edc_check(point: Point, candidate: Point, params: SolverParams,
 def bcd_safeguard(point: Point, params: SolverParams, eps: float):
     """Backtracked block-coordinate-descent fallback.
 
+    A trial with steps (a, b) is v_z = z - a gz, then v_x = x - b (A^T (Ax - v_z)
+    + the regularizer's x-gradient) = x - b (gx + a A^T gz), with (gx, gz) the
+    smoothed gradient at ``point``; so A v_x = Ax - b (A gx + a A A^T gz). One
+    A^T and two A serve every trial, whatever the number of backtracks.
+
     Returns (new point, backtracks, bar_alpha, bar_beta) with the accepted
     step sizes; raises NumericalError when max_backtracks is exceeded or a
     trial point is not finite.
     """
+    spec = point.spec
     bar_a, bar_b = params.bar_alpha0, params.bar_beta0
-    gz = point.grad(eps)[1]
-    reg_gx = point.reg_grads(eps)[0]
+    gx, gz = point.grad(eps)
+    at_gz = spec.backproject(gz)
+    a_gx, a_at_gz = spec.project(gx), spec.project(at_gz)
     for bt in range(params.max_backtracks + 1):
         v_z = point.z - bar_a * gz
-        v_x = point.x - bar_b * (point.grad_f_x(v_z) + reg_gx)
-        trial = Point(point.spec, v_x, v_z)
+        v_x = point.x - bar_b * (gx + bar_a * at_gz)
+        trial = Point(spec, v_x, v_z, point.ax - bar_b * (a_gx + bar_a * a_at_gz))
         sq = float(np.sum((v_x - point.x)**2) + np.sum((v_z - point.z)**2))
         if trial.phi(eps) - point.phi(eps) <= -params.delta * sq:
             return trial, bt, bar_a, bar_b
@@ -240,7 +261,15 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     """Iterate until max_iters, or until eps <= eps_tol with a gradient norm
     below the reduction threshold (never when eps_tol is 0). Returns (final
     state, IterateLog); a step that fails numerically raises SolverError
-    carrying the log so far."""
+    carrying the log so far.
+
+    When eps_tol > 0, the candidate starts from the extrapolated point
+    p_k + theta_k (p_k - p_{k-1}) with FISTA's theta_k = (t_k - 1)/t_{k+1},
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 and t reset to 1 at each eps
+    reduction. The EDC, the safeguard, the smoothing update and the log
+    still refer to p_k, so every iteration keeps the descent guarantee. In
+    the fixed-phase mode (eps_tol = 0) the candidate starts from p_k.
+    """
     point = evaluate(init, spec)
     lip = lipschitz_constants(spec)
     _check_backtrack_budget(lip, params)
@@ -250,10 +279,17 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     # Every iteration needs the gradient at its start point (EDC bound or
     # safeguard z-step); later start points keep it from the smoothing update.
     point.grad(eps)
+    prev, t = point, 1.0
 
     for k in range(params.max_iters):
         try:
-            cand = candidate_step(point, steps, eps)
+            start = point
+            if params.eps_tol > 0:
+                t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+                if t > 1.0:
+                    start = extrapolate(point, prev, (t - 1.0) / t_next)
+                t = t_next
+            cand = candidate_step(start, steps, eps)
             if edc_check(point, cand, params, eps):
                 new, backtracks, a_used, b_used = cand, 0, steps.alpha, steps.beta
                 branch = BRANCH_EDC
@@ -269,10 +305,11 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
             grad_norm=gnorm, branch=branch, backtracks=backtracks,
             alpha_used=a_used, beta_used=b_used,
             eps_reduced=eps_next != eps))
-        point = new
+        prev, point = point, new
         if eps <= params.eps_tol and gnorm < params.sigma * params.gamma * eps:
             break
         if eps_next != eps:
             eps = eps_next
             steps = resolve_steps(lip, params, eps)
+            t = 1.0
     return point.state(), log

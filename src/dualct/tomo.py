@@ -141,7 +141,10 @@ def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None, so
 def _finite_field(values, shape: tuple[int, int], what: str) -> np.ndarray:
     """``values`` as a finite float array of ``shape``; any array of that
     many values is reshaped."""
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # non-numeric or ragged
+        raise InputError(f"{what} values must be a numeric array: {exc}") from None
     if values.size != shape[0] * shape[1]:
         raise InputError(f"{what} of shape {shape} needs {shape[0] * shape[1]} values, "
                          f"got {values.size}")
@@ -175,6 +178,8 @@ class Sinogram:
 
     def __post_init__(self):
         idx = np.asarray(self.view_indices)
+        if idx.ndim != 1:
+            raise InputError(f"view_indices must be a 1-D list, got {idx.ndim} dimensions")
         # an empty list reads as float64; huge ints as objects, refused below
         if idx.size and not (idx.dtype.kind in "iu" or idx.dtype.kind == "O" and all(
                 isinstance(i, Integral) and not isinstance(i, bool) for i in idx.flat)):

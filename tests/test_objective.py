@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dualct import objective
 from dualct.errors import ConfigError, NumericalError
 from dualct.objective import (DualState, Point, ProblemSpec, block_lipschitz,
                               evaluate, grad_norm, lipschitz_constants,
@@ -136,6 +138,29 @@ class TestLipschitz:
         expected = np.linalg.norm(a, 2) ** 2
         _, l_x, _ = block_lipschitz(spec)
         assert l_x == pytest.approx(expected, rel=1e-6)
+
+    def test_x_block_bounds_from_above_with_unhit_pixels(self, rng):
+        # two rays per view, 0.25 off the centre, miss the four corner
+        # pixels: their zero columns must neither divide by zero nor loosen
+        # the bound
+        grid = GridSpec(8, 8, 1.0)
+        geo = parallel_geometry(6, 2, grid, det_spacing=0.5)
+        a = system_matrix(geo).toarray()
+        assert np.sum(np.all(a == 0, axis=0)) == 4
+        mask = uniform_mask(6, 2)
+        truth = Image(grid, rng.random(grid.shape))
+        spec = ProblemSpec(geo, mask, subsample_views(forward_project(truth, geo), mask))
+        expected = np.linalg.norm(a, 2) ** 2
+        _, l_x, _ = block_lipschitz(spec)
+        assert l_x >= expected * (1 - 1e-14)
+        assert l_x == pytest.approx(expected, rel=1e-11)
+
+    def test_x_block_zero_for_zero_operator(self, rng, monkeypatch):
+        spec, _ = _make_problem(rng)
+        zero = sp.csr_matrix(system_matrix(spec.geometry).shape)
+        monkeypatch.setattr(objective, "system_matrix", lambda geo: zero)
+        monkeypatch.setattr(objective, "system_matrix_transpose", lambda geo: zero.T.tocsr())
+        assert block_lipschitz(spec)[1] == 0.0
 
     def test_full_hessian_matches_dense(self, rng):
         # exact with every view measured, an upper bound otherwise

@@ -1,10 +1,12 @@
 import csv
 import hashlib
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualct import objective, regularizer, solver
 from dualct.errors import ConfigError, SolverError
@@ -232,6 +234,77 @@ class TestRun:
         assert rel < 1e-6
 
 
+class TestExtrapolation:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(6, 12),
+           tv_scale=st.floats(1e-3, 0.1), lam=st.floats(0.5, 20.0))
+    def test_descent_against_the_current_iterate(self, seed, n, tv_scale, lam):
+        spec, init, _ = _problem(np.random.default_rng(seed), n=n,
+                                 tv_scale=tv_scale, lam=lam)
+        params = SolverParams(max_iters=80)
+        checked = []
+
+        def recording(point, cand, params, eps):
+            checked.append((point, cand))
+            return edc_check(point, cand, params, eps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "edc_check", recording)
+            _, log = run(spec, init, params)
+        assert len(checked) == len(log)
+        np.testing.assert_array_equal(checked[0][0].x, init.x.values)
+        for k, (rec, (point, cand)) in enumerate(zip(log.records, checked)):
+            assert rec.phi_after <= rec.phi_before
+            if rec.branch != BRANCH_EDC:
+                continue
+            # the candidate passes the EDC against p_k, both evaluated afresh,
+            # and becomes p_{k+1}
+            assert edc_check(evaluate(point.state(), spec), evaluate(cand.state(), spec),
+                             params, rec.eps), k
+            if k + 1 < len(checked):
+                assert checked[k + 1][0] is cand
+
+    @pytest.mark.parametrize("eps_tol", [1e-4, 0.0])
+    def test_extrapolates_in_converge_mode_only(self, monkeypatch, eps_tol):
+        starts, currents = [], []
+        step, check = solver.candidate_step, solver.edc_check
+
+        def recording_step(point, *args):
+            starts.append(point)
+            return step(point, *args)
+
+        def recording_check(point, *args):
+            currents.append(point)
+            return check(point, *args)
+
+        monkeypatch.setattr(solver, "candidate_step", recording_step)
+        monkeypatch.setattr(solver, "edc_check", recording_check)
+        spec, init, params = _pinned_problem("tv")
+        run(spec, init, replace(params, eps_tol=eps_tol, max_iters=60))
+        same = [s is c for s, c in zip(starts, currents)]
+        assert len(same) == 60
+        assert all(same) if eps_tol == 0 else not all(same)
+
+    def test_combined_ax_does_not_drift(self, monkeypatch):
+        # the phase-mode TV run takes the safeguard in 265 of 400 iterations,
+        # each trial's Ax a combination of its start point's
+        trials = []
+        safeguard = solver.bcd_safeguard
+
+        def recording(*args):
+            out = safeguard(*args)
+            trials.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "bcd_safeguard", recording)
+        spec, init, params = _pinned_problem("tv")
+        run(spec, init, replace(params, eps_tol=0.0))
+        assert len(trials) > 200
+        for trial in trials:
+            exact = spec.project(trial.x)
+            assert np.linalg.norm(trial.ax - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
 class _CountingMatrix:
     """Sparse-matrix proxy that counts its products under ``key``."""
 
@@ -262,19 +335,24 @@ class TestOperatorCounts:
 
         monkeypatch.setattr(solver, "candidate_step", marked_step)
         spec, init, params = _pinned_problem("tv")
-        _, log = run(spec, init, params)
-        marks.append((counts["A"], counts["AT"]))
-        per_iter = [(a1 - a0, t1 - t0) for (a0, t0), (a1, t1) in zip(marks, marks[1:])]
-        assert len(per_iter) == len(log)
-        branches = {rec.branch for rec in log.records}
-        assert branches == {BRANCH_EDC, BRANCH_BCD}
-        for rec, got in zip(log.records, per_iter):
-            if rec.branch == BRANCH_EDC:
-                assert got == (1, 2), rec.k
-            else:
-                # candidate (1 A, 1 A^T), one A and A^T per safeguard trial,
-                # and A^T for the gradient at the accepted point
-                assert got == (2 + rec.backtracks, 3 + rec.backtracks), rec.k
+        for eps_tol in (1e-4, 0.0):  # extrapolated and plain candidates
+            marks.clear()
+            _, log = run(spec, init, replace(params, eps_tol=eps_tol))
+            marks.append((counts["A"], counts["AT"]))
+            per_iter = [(a1 - a0, t1 - t0) for (a0, t0), (a1, t1) in zip(marks, marks[1:])]
+            assert len(per_iter) == len(log)
+            branches = {rec.branch for rec in log.records}
+            assert branches == {BRANCH_EDC, BRANCH_BCD}
+            assert len({rec.backtracks for rec in log.records
+                        if rec.branch == BRANCH_BCD}) >= 4
+            for rec, got in zip(log.records, per_iter):
+                if rec.branch == BRANCH_EDC:
+                    assert got == (1, 2), (eps_tol, rec.k)
+                else:
+                    # candidate (1 A, 1 A^T); the safeguard's A^T gz, A gx and
+                    # A A^T gz, shared by every trial; A^T for the gradient at
+                    # the accepted point
+                    assert got == (3, 3), (eps_tol, rec.k)
 
     def test_jacobian_power_iteration_once_per_domain(self, monkeypatch):
         calls = {"estimate": 0, "jvp": 0}
@@ -367,20 +445,21 @@ class TestPinnedOutputs:
 
     A change that only reorganizes the solver or the objective must keep
     these hashes; a change that alters the arithmetic updates them and says
-    so. The TV run takes both branches and reaches eps_tol (263 iterations,
-    128 BCD, 11 eps reductions); the random-stack run re-derives its
-    regularizer steps after 3 eps reductions. The conv layers sum over
+    so. Both run in converge mode, so their candidates are extrapolated. The
+    TV run takes both branches and reaches eps_tol (184 iterations, 125 BCD,
+    11 eps reductions); the random-stack run re-derives its regularizer
+    steps after 5 eps reductions. The conv layers sum over
     channels inside BLAS, so the hashes also pin the BLAS build; they were
     recorded with OpenBLAS 0.3.31, which gives them at 1 and 2 threads.
     """
 
     PINS = {
-        "tv": ("f631c6f1be586df40e907ee7dbbb17d5f4c818b56878a2b58774aa9292803905",
-               "08de5b7adb7aa341210fea7be29070a8c25a12814f2dc525f3c24aaf695e9410",
-               "e5dccf1589bbcba632126260790f4c62dc484780cfbf08a97687323fbcad1b87"),
-        "random": ("a081d5ad40ee1ef1a29dd0c1a99e0b1a8fb337ba8f2a6c62d99279c69119c6ef",
-                   "109c3edb20cdc9729a45bda2cbf89e0348ec415b69881aea192bf72498773975",
-                   "9e9b813927f238095ded913516187d3ba4d2ffb8a313b74d259fdf90da7748b0"),
+        "tv": ("c936e91e0689b85bac4b3c2da3eb1b3b8cb8e2d3329d739e887deba15b20de08",
+               "5ecac77352b8bdf30d07b15ce3404b2def94e85fd3f709871ff54bfd8824daef",
+               "c3ef58d7287695b487091189a1974b68472cda5dd2d4953479ca9a8316a8d303"),
+        "random": ("56ae6176bb01c084ef0e6e8af994fe1eb5ffe16900b6ae9c294c2a5069e2add6",
+                   "bb0d4dde2a25b9f721135e8845e5fc21b278f43cd4a8e081e04a3fc667b7ca4c",
+                   "06deb8d8507238fbda416ba1e6aa9509e6f8f8c107fbe924a988c03e89611332"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINS))

@@ -449,6 +449,20 @@ class TestGeometryValidation:
         with pytest.raises(InputError, match="sinogram of shape .* needs 10 values, got 3"):
             Sinogram(geo, [0, 1], np.zeros(3))
 
+    @pytest.mark.parametrize("view_indices", [[[0, 1]], 1])
+    def test_view_indices_not_1d_rejected(self, grid8, view_indices):
+        geo = parallel_geometry(4, 5, grid8)
+        with pytest.raises(InputError, match="view_indices must be a 1-D list"):
+            Sinogram(geo, view_indices, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("values", ["abc", [[1, 2], [3]], {"a": 1}])
+    def test_non_numeric_values_rejected(self, grid8, values):
+        with pytest.raises(InputError, match="image values must be a numeric array"):
+            Image(GridSpec(4, 4, 1.0), values)
+        geo = parallel_geometry(4, 5, grid8)
+        with pytest.raises(InputError, match="sinogram values must be a numeric array"):
+            Sinogram(geo, [0, 1], values)
+
     @pytest.mark.parametrize("factory", [parallel_geometry, fan_geometry])
     @pytest.mark.parametrize("n_views, n_dets", [(4, 0), (0, 4)])
     def test_empty_geometry_rejected_without_warning(self, grid8, factory, n_views, n_dets):
