@@ -206,14 +206,16 @@ def noise_from_config(cfg) -> NoiseSpec:
 
 
 def weights_from_config(cfg, domain: str) -> ConvStack | None:
-    """Regularizer weight source: tv | random | file | none."""
+    """Regularizer weight source: tv | random | file | none; ``tv`` and
+    ``random`` take a weight ``scale`` (defaults 1.0 and 0.1)."""
     random = {"seed": config_seed, "layers": config_int, "channels": config_int,
-              "kernel": list_of(config_int, 2)}
+              "kernel": list_of(config_int, 2), "scale": config_float}
     args = _read_variant(cfg, f"regularizers.{domain}", "source", "none", {
-        "none": {}, "tv": {}, "file": {"path": config_str}, "random": random})
+        "none": {}, "tv": {"scale": config_float}, "file": {"path": config_str},
+        "random": random})
     source = args.pop("source")
     if source == "tv":
-        return make_tv_weights()
+        return make_tv_weights(**args)
     if source == "file":
         if "path" not in args:
             raise ConfigError(f"regularizers.{domain} needs 'path' for source file")

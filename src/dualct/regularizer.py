@@ -72,27 +72,54 @@ class ConvStack:
         return self.layers[-1].shape[0]
 
 
+WINDOW = 1 << 16  # doubles in one block of the im2col matrix (512 KiB)
+
+
 def _conv_layer(h, w):
     """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero "same" padding.
 
-    A correlation as one BLAS product per nonzero kernel tap. ``h`` is
-    zero-padded once into a flat (in_c, L) buffer whose rows are
-    Wp = W + kw - 1 wide, so the inputs of tap (a, b) for every output
-    site are the unit-stride window that starts at a*Wp + b. The products
-    accumulate on (out_c, H, Wp) rows whose last kw - 1 columns are cropped.
-    ``np.dot``, not ``@``: numpy's matmul skips BLAS when in_c is 1.
+    A correlation lowered to matrix products (im2col). The kernel is cropped
+    to the th x tw box of taps that are nonzero for some channel pair; an
+    all-zero layer gives exact zeros. ``h`` is zero-padded once into a flat
+    (in_c, L) buffer whose rows are Wp = W + kw - 1 wide, so the inputs of
+    tap (a, b) for every output site are the unit-stride window that starts
+    at a*Wp + b. Output sites are taken in blocks of at most WINDOW // k,
+    k = in_c*th*tw: each block's (k, block) im2col matrix is copied from a
+    strided view of the buffer and multiplied by the (out_c, k) weights, so
+    the scratch stays at WINDOW doubles whatever the field size. The sites
+    lie on (out_c, H, Wp) rows whose last kw - 1 columns are cropped.
+    ``np.dot``, not ``@``: numpy's matmul skips BLAS when k is 1.
     """
     out_c, in_c, kh, kw = w.shape
     _, rows, cols = h.shape
+    ta, tb = np.nonzero(w.any(axis=(0, 1)))
+    if ta.size == 0:
+        return np.zeros((out_c, rows, cols))
+    a0, b0 = ta[0], tb.min()  # np.nonzero lists the taps row by row
+    w_box = w[:, :, a0:ta[-1] + 1, b0:tb.max() + 1]
+    th, tw = w_box.shape[2:]
+    k = in_c * th * tw
     wp = cols + kw - 1
     n = rows * wp
     hp = np.zeros((in_c, (rows + kh - 1) * wp + kw - 1))
     hp[:, :(rows + kh - 1) * wp].reshape(in_c, rows + kh - 1, wp)[
         :, kh // 2:kh // 2 + rows, kw // 2:kw // 2 + cols] = h
-    out = np.zeros((out_c, n))
-    for a, b in zip(*np.nonzero(w.any(axis=(0, 1)))):
-        start = a * wp + b
-        out += np.dot(w[:, :, a, b], hp[:, start:start + n])
+    # view[c, a, b, s] = hp[c, a0*Wp + b0 + a*Wp + b + s]. Its largest index,
+    # (a0 + th - 1)*Wp + (b0 + tw - 1) + n - 1, is at most
+    # (kh - 1)*Wp + (kw - 1) + H*Wp - 1 = L - 1, so it stays inside each row.
+    step = hp.strides[1]
+    view = np.lib.stride_tricks.as_strided(
+        hp[:, a0 * wp + b0:], shape=(in_c, th, tw, n),
+        strides=(hp.strides[0], wp * step, step, step), writeable=False)
+    w_mat = w_box.reshape(out_c, k)
+    block = min(n, max(1, WINDOW // k))
+    cols_buf = np.empty(k * block)
+    out = np.empty((out_c, n))
+    for s in range(0, n, block):
+        size = min(block, n - s)
+        patch = cols_buf[:k * size].reshape(k, size)
+        patch.reshape(in_c, th, tw, size)[...] = view[..., s:s + size]
+        out[:, s:s + size] = np.dot(w_mat, patch)
     return out.reshape(out_c, rows, wp)[:, :, :cols]
 
 

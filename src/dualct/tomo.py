@@ -177,7 +177,10 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.view_indices)
+        try:
+            idx = np.asarray(self.view_indices)
+        except ValueError as exc:  # ragged
+            raise InputError(f"view_indices must be a 1-D list: {exc}") from None
         if idx.ndim != 1:
             raise InputError(f"view_indices must be a 1-D list, got {idx.ndim} dimensions")
         # an empty list reads as float64; huge ints as objects, refused below

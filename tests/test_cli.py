@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from dualct import io
 from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
+from dualct.metrics import psnr
 from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
 from dualct.solver import SolverParams
 
@@ -399,7 +400,7 @@ KNOWN_KEYS = {
     "output", "grid", "kind", "n_views", "n_dets", "det_spacing", "source_radius",
     "source_to_detector", "nx", "ny", "pixel_size", "origin", "n_keep", "selected",
     "ellipses", "model", "sigma", "photons", "seed", "image", "sinogram", "source",
-    "layers", "channels", "kernel", "path", "type", "phases",
+    "layers", "channels", "kernel", "scale", "path", "type", "phases",
 } | {f.name for f in fields(SolverParams)}
 
 # Every section of the run config: root overrides that select a variant of
@@ -415,10 +416,11 @@ SECTIONS = [
     ({"noise": {"model": "gaussian"}}, "noise", ["sigma", "seed"]),
     ({"noise": {"model": "poisson-transmission"}}, "noise", ["photons", "seed"]),
     ({}, "regularizers", []),
+    ({}, "regularizers.image", ["scale"]),
     ({"regularizers": {"image": {"source": "random"}}}, "regularizers.image",
-     ["seed", "layers", "channels", "kernel"]),
+     ["seed", "layers", "channels", "kernel", "scale"]),
     ({"regularizers": {"sinogram": {"source": "random"}}}, "regularizers.sinogram",
-     ["seed", "layers", "channels", "kernel"]),
+     ["seed", "layers", "channels", "kernel", "scale"]),
     ({}, "solver", [f.name for f in fields(SolverParams)]),
     ({"mode": {"type": "phases"}}, "mode", ["phases"]),
 ]
@@ -452,6 +454,15 @@ def write_with(tmp_path, overrides, section, key, value):
     return write_config(tmp_path, **cfg)
 
 
+def readme_run_config(tmp_path):
+    """The README's example run config, writing to ``tmp_path/out``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```yaml\n(# run\.yaml\n.*?)```", readme, re.S).group(1)
+    path = tmp_path / "run.yaml"
+    path.write_text(block.replace("output: out/", f"output: {tmp_path / 'out'}"))
+    return path
+
+
 class TestConfigSchema:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -475,13 +486,19 @@ class TestConfigSchema:
         assert err.startswith("config error: ") and dotted(path, key) in err
 
     def test_readme_run_config(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = re.search(r"```yaml\n(# run\.yaml\n.*?)```", readme, re.S).group(1)
-        path = tmp_path / "run.yaml"
-        path.write_text(block)
-        setup = _Setup(path)
+        setup = _Setup(readme_run_config(tmp_path))
         assert setup.geometry.n_views_full == 90 and setup.mask.n_selected == 30
         assert setup.params.max_iters == 500
+
+    def test_readme_example_beats_fbp(self, tmp_path):
+        cfg = readme_run_config(tmp_path)
+        for cmd in ("phantom", "simulate", "init", "fbp", "reconstruct"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        with open(tmp_path / "out" / "iterations.json") as fh:
+            assert len(json.load(fh)["iterations"]) < 500  # converged, not capped
+        phantom, recon, fbp = (io.load_array(tmp_path / "out" / f"{name}.f64")[0]
+                               for name in ("phantom", "recon", "fbp"))
+        assert psnr(recon, phantom) >= psnr(fbp, phantom) + 3.0
 
     @pytest.mark.parametrize("source", ["tv", "random", "file", "none"])
     @pytest.mark.parametrize("noise", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dualct import io
 from dualct.errors import ConfigError, FormatError, InputError
-from dualct.regularizer import make_tv_weights, save_weights
+from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
 from dualct.solver import SolverParams
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram,
                          parallel_geometry, uniform_mask)
@@ -215,6 +215,23 @@ class TestConfig:
             io.weights_from_config({"source": "file"}, "image")
         with pytest.raises(ConfigError):
             io.weights_from_config({"source": "magic"}, "image")
+
+    def test_weights_scale(self):
+        def layers(cfg):
+            return io.weights_from_config(cfg, "sinogram").layers
+        for got, want in [
+                (layers({"source": "tv"}), make_tv_weights(1.0).layers),
+                (layers({"source": "tv", "scale": 0.002}), make_tv_weights(0.002).layers),
+                (layers({"source": "random", "seed": 3}),
+                 make_random_weights(3, kernel=(3, 15), scale=0.1).layers),
+                (layers({"source": "random", "seed": 3, "scale": 0.5}),
+                 make_random_weights(3, kernel=(3, 15), scale=0.5).layers)]:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for source in ("tv", "random"):
+            with pytest.raises(ConfigError, match="regularizers.image.scale"):
+                io.weights_from_config({"source": source, "scale": "big"}, "image")
+        with pytest.raises(ConfigError, match="unknown key regularizers.image.scale"):
+            io.weights_from_config({"source": "none", "scale": 2.0}, "image")
 
     def test_solver_params(self):
         params = io.solver_params_from_config({"rho": 0.25, "max_iters": 10})

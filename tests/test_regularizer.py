@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -164,8 +165,8 @@ def _conv_layer_transpose_reference(g, w):
 
 def assert_matches_reference(got, h, w, reference):
     """``got`` equals ``reference(h, w)`` to 1e-13 relative to the sum of
-    absolute terms at each site, ``reference(|h|, |w|)``: the per-tap BLAS
-    products sum over channels in another order than the reference."""
+    absolute terms at each site, ``reference(|h|, |w|)``: the BLAS products
+    sum over channels and taps in another order than the reference."""
     want = reference(h, w)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-13 * reference(np.abs(h), np.abs(w)))
@@ -183,9 +184,8 @@ def assert_adjoint(h, g, w):
 class TestTransposedConv:
     """The conv pass and its transpose against the ndimage references.
 
-    The per-tap BLAS products sum over channels in another order than the
-    references, so outputs match them to rounding; only single-input-channel
-    forward passes, TV's included, match byte for byte."""
+    The im2col products sum over channels and taps in another order than
+    the references, so outputs, TV's included, match them to rounding."""
 
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (3, 15), (5, 3), (3, 1)])
     @pytest.mark.parametrize("in_c, out_c", [(1, 1), (1, 16), (8, 8), (16, 3)])
@@ -203,19 +203,55 @@ class TestTransposedConv:
         w = make_tv_weights(scale=0.7).layers[0]
         g = rng.standard_normal((2, 12, 10))
         h = rng.standard_normal((1, 12, 10))
-        assert regularizer._conv_layer(h, w).tobytes() == _conv_layer_reference(h, w).tobytes()
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
         assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
                                  _conv_layer_transpose_reference)
 
     @pytest.mark.parametrize("kernel, out_c", [((3, 3), 1), ((3, 15), 16), ((5, 3), 8)])
     def test_single_input_channel_bytes_match_correlate(self, rng, kernel, out_c):
-        # each tap's product is a plain multiply, added tap by tap in
-        # row-major order, as ndimage adds them
         w = rng.standard_normal((out_c, 1) + kernel)
         w[rng.random(w.shape) < 0.3] = 0.0
         h = rng.standard_normal((1, 9, 17))
-        got = regularizer._conv_layer(h, w)
-        assert got.tobytes() == _conv_layer_reference(h, w).tobytes()
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
+
+    def test_blocked_sinogram_layer(self, rng):
+        # cnn32's hidden sinogram layer: 8 -> 8 channels, 3x15 taps, on a
+        # 90x47 field is 90*61 = 5490 sites in blocks of 182, the last partial
+        w = rng.standard_normal((8, 8, 3, 15))
+        h = rng.standard_normal((8, 90, 47))
+        g = rng.standard_normal((8, 90, 47))
+        assert regularizer.WINDOW // w[0].size == 182 and 5490 % 182
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
+        assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
+                                 _conv_layer_transpose_reference)
+        assert_adjoint(h, g, w)
+
+    def test_blocked_layer_scratch_is_bounded(self, rng):
+        # the whole (360, 5490) im2col matrix alone would take 16 MB
+        w = rng.standard_normal((8, 8, 3, 15))
+        h = rng.standard_normal((8, 90, 47))
+        tracemalloc.start()
+        try:
+            regularizer._conv_layer(h, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("taps", [
+        (slice(0, 1), slice(0, 1)), (slice(3, 5), slice(4, 7)),  # corners
+        (slice(2, 3), slice(None)), (slice(4, 5), slice(1, 6)),  # one row
+        (slice(None), slice(0, 1)), (slice(1, 4), slice(6, 7)),  # one column
+    ])
+    def test_taps_in_part_of_the_kernel(self, rng, taps):
+        w = np.zeros((3, 2, 5, 7))
+        w[:, :, taps[0], taps[1]] = rng.standard_normal(w[:, :, taps[0], taps[1]].shape)
+        h = rng.standard_normal((2, 11, 6))
+        g = rng.standard_normal((3, 11, 6))
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
+        assert_matches_reference(regularizer._conv_layer_adjoint(g, w), g, w,
+                                 _conv_layer_transpose_reference)
+        assert_adjoint(h, g, w)
 
     @settings(max_examples=150, deadline=None)
     @given(dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4),

@@ -448,18 +448,18 @@ class TestPinnedOutputs:
     so. Both run in converge mode, so their candidates are extrapolated. The
     TV run takes both branches and reaches eps_tol (184 iterations, 125 BCD,
     11 eps reductions); the random-stack run re-derives its regularizer
-    steps after 5 eps reductions. The conv layers sum over
-    channels inside BLAS, so the hashes also pin the BLAS build; they were
-    recorded with OpenBLAS 0.3.31, which gives them at 1 and 2 threads.
+    steps after 5 eps reductions. The conv layers sum over channels and
+    kernel taps inside BLAS, so the hashes also pin the BLAS build; they
+    were recorded with OpenBLAS 0.3.31, which gives them at 1 and 2 threads.
     """
 
     PINS = {
-        "tv": ("c936e91e0689b85bac4b3c2da3eb1b3b8cb8e2d3329d739e887deba15b20de08",
-               "5ecac77352b8bdf30d07b15ce3404b2def94e85fd3f709871ff54bfd8824daef",
-               "c3ef58d7287695b487091189a1974b68472cda5dd2d4953479ca9a8316a8d303"),
-        "random": ("56ae6176bb01c084ef0e6e8af994fe1eb5ffe16900b6ae9c294c2a5069e2add6",
-                   "bb0d4dde2a25b9f721135e8845e5fc21b278f43cd4a8e081e04a3fc667b7ca4c",
-                   "06deb8d8507238fbda416ba1e6aa9509e6f8f8c107fbe924a988c03e89611332"),
+        "tv": ("cdb357ba0f5e706cab3f3c03e594abc91171d81b7d86cf716f3b06871c12f477",
+               "6f649e820d7898df41a947124ac28233385c5498cc67afaa1b17e636c05a53b9",
+               "3e5ea9547860785325e675d45c0c53084a982b06e2d21123412fdde944abca20"),
+        "random": ("9ec57c5bb8bdea8d2af1c384d5ab1f4e21640cad98a78b24fd85c133349426b3",
+                   "9828d667eba1510a0aa81fe41674d243dc9e77907deee478e106ab5629e798ed",
+                   "8ba0a5c5d88f0f0a0c566827e0defccb410906b220b03a88669918bd38ab43bd"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINS))

@@ -449,7 +449,7 @@ class TestGeometryValidation:
         with pytest.raises(InputError, match="sinogram of shape .* needs 10 values, got 3"):
             Sinogram(geo, [0, 1], np.zeros(3))
 
-    @pytest.mark.parametrize("view_indices", [[[0, 1]], 1])
+    @pytest.mark.parametrize("view_indices", [[[0, 1]], 1, [[0, 1], [2]], [[0], 1]])
     def test_view_indices_not_1d_rejected(self, grid8, view_indices):
         geo = parallel_geometry(4, 5, grid8)
         with pytest.raises(InputError, match="view_indices must be a 1-D list"):
