@@ -115,10 +115,9 @@ def export_pgm(path, values: np.ndarray) -> None:
 def load_config(path) -> dict:
     """The run config's root section, read (nested sections left as they are)."""
     try:
-        with open(str(path)) as fh:
-            cfg = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise FormatError(f"malformed config: {exc}") from exc
+        cfg = yaml.safe_load(Path(path).read_bytes())
+    except yaml.YAMLError as exc:  # also bytes that are not UTF-8 or UTF-16
+        raise FormatError(f"malformed config {path}: {exc}") from exc
     return read_section(cfg, "", {**dict.fromkeys(("geometry", "mask", "phantom", "noise",
                                                    "regularizers", "solver", "mode")),
                                   "lambda": config_float, "output": config_str})

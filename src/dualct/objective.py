@@ -50,6 +50,9 @@ class ProblemSpec:
         read_fields(self, lam=config_float)
         if self.lam < 0:
             raise ConfigError("consistency weight lambda must be nonnegative")
+        for name in ("image_weights", "sino_weights"):
+            if not isinstance(getattr(self, name), (reg.ConvStack, type(None))):
+                raise ConfigError(f"{name} must be a ConvStack or None")
         if self.measured.geometry != self.geometry:
             raise ConfigError("measured sinogram geometry does not match")
         if self.mask.n_views_full != self.geometry.n_views_full:
@@ -98,7 +101,7 @@ class Point:
         self.f = float(0.5 * np.sum(self.proj_res**2)
                        + 0.5 * spec.lam * np.sum(self.data_res**2))
         self._domains = ((x, spec.image_weights), (z, spec.sino_weights))
-        self._phi, self._reg_grads, self._grad = {}, {}, {}
+        self._phi, self._grad = {}, {}
 
     @cached_property
     def forward(self):
@@ -134,17 +137,11 @@ class Point:
             self._phi[eps] = val
         return self._phi[eps]
 
-    def reg_grads(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(image, sinogram) smoothed-regularizer gradients."""
-        if eps not in self._reg_grads:
-            self._reg_grads[eps] = tuple(_reg_grad(y, w, eps, fwd) for (y, w), fwd
-                                         in zip(self._domains, self.forward))
-        return self._reg_grads[eps]
-
     def grad(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(d/dx, d/dz) of the smoothed objective."""
         if eps not in self._grad:
-            self._grad[eps] = tuple(gf + gr for gf, gr in zip(self.grad_f, self.reg_grads(eps)))
+            self._grad[eps] = tuple(gf + _reg_grad(y, w, eps, fwd) for gf, (y, w), fwd
+                                    in zip(self.grad_f, self._domains, self.forward))
         return self._grad[eps]
 
     def state(self) -> DualState:

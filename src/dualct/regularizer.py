@@ -208,11 +208,9 @@ def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float,
     """Huber-smoothed l2,1 regularizer value.
 
     Sites with feature norm <= eps contribute quadratically, the rest
-    contribute their norm minus eps/2. ``forward`` is the
-    :func:`feature_forward` result at ``y``, if already computed.
+    contribute their norm minus eps/2; ``eps`` must be positive. ``forward``
+    is the :func:`feature_forward` result at ``y``, if already computed.
     """
-    if not eps > 0:
-        raise ConfigError("smoothing eps must be positive")
     features, _ = forward if forward is not None else feature_forward(y, stack)
     norms = _site_norms(features)
     inner = norms <= eps
@@ -221,10 +219,8 @@ def smoothed_value(y: np.ndarray, stack: ConvStack, eps: float,
 
 def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
                   forward=None) -> np.ndarray:
-    """Gradient of :func:`smoothed_value` with respect to ``y``; ``forward``
-    is the :func:`feature_forward` result at ``y``, if already computed."""
-    if not eps > 0:
-        raise ConfigError("smoothing eps must be positive")
+    """Gradient of :func:`smoothed_value` (``eps`` > 0) with respect to ``y``;
+    ``forward`` is the :func:`feature_forward` result at ``y``, if already computed."""
     features, slopes = forward if forward is not None else feature_forward(y, stack)
     norms = _site_norms(features)
     scale = np.where(norms <= eps, 1.0 / eps, 1.0 / np.where(norms > 0, norms, 1.0))
@@ -254,7 +250,7 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     (seed 0), and L_g is a curvature constant for the extractor (0 for a
     single linear layer; otherwise max|a''| = 1/(2*delta) times the product
     of layer Frobenius norms). Neither depends on eps, so the power
-    iteration runs once for every eps the returned function is given.
+    iteration runs once for every positive eps the returned function is given.
     """
     rng = np.random.default_rng(0)
     y = rng.standard_normal(probe_shape)
@@ -267,11 +263,7 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
         / (2.0 * stack.activation_delta))
     curvature_term = np.sqrt(probe_shape[0] * probe_shape[1]) * curvature
 
-    def at(eps: float) -> float:
-        if not eps > 0:
-            raise ConfigError("smoothing eps must be positive")
-        return float(curvature_term + m_spec_sq / eps)
-    return at
+    return lambda eps: float(curvature_term + m_spec_sq / eps)
 
 
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
             alpha_used=a_used, beta_used=b_used,
             eps_reduced=eps_next != eps))
         prev, point = point, new
-        if eps <= params.eps_tol and gnorm < params.sigma * params.gamma * eps:
+        if eps <= params.eps_tol and eps_next != eps:
             break
         if eps_next != eps:
             eps = eps_next

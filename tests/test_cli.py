@@ -192,6 +192,19 @@ class TestExitCodes:
                      "--ref", str(tmp_path / "no.f64")]) == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"geometry: \xff\xfe\n")
+        assert main(["phantom", "--config", str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "malformed config" in err and "latin.yaml" in err
+
+    def test_utf16_config_with_bom_loads(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_config(tmp_path)), encoding="utf-16")
+        assert main(["phantom", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "phantom.f64").exists()
+
     def test_io_error_missing_config(self, tmp_path):
         assert main(["phantom", "--config", str(tmp_path / "no.yaml")]) == EXIT_IO
 

@@ -94,3 +94,11 @@ class TestConstructorReaders:
         values, build = FIELDS[field]
         with pytest.raises(ConfigError):
             build(data.draw(values))
+
+
+@pytest.mark.parametrize("name", ["image_weights", "sino_weights"])
+@pytest.mark.parametrize("weights", ["tv", np.zeros((1, 1, 3, 3)), (LAYER,)])
+def test_problem_spec_refuses_weights_that_are_not_a_conv_stack(name, weights):
+    # run would otherwise fail later with an AttributeError on .layers
+    with pytest.raises(ConfigError, match=f"{name} must be a ConvStack or None"):
+        ProblemSpec(GEO, MASK, MEASURED, **{name: weights})

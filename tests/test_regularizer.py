@@ -305,10 +305,6 @@ class TestSmoothedRegularizer:
         assert smoothed_value(y, stack, 0.1) == 0.0
         assert np.all(smoothed_grad(y, stack, 0.1) == 0.0)
 
-    def test_bad_eps(self, rng):
-        with pytest.raises(ConfigError):
-            smoothed_value(np.zeros((4, 4)), make_tv_weights(), 0.0)
-
 
 class TestLipschitzEstimate:
     def test_tv_spectral_bound(self):
@@ -327,11 +323,6 @@ class TestLipschitzEstimate:
         e1 = bound(0.1)
         e2 = bound(0.05)
         assert e2 == pytest.approx(2.0 * e1, rel=1e-10)
-
-    def test_nonpositive_eps_rejected(self):
-        bound = lipschitz_estimate(make_tv_weights(), (8, 8))
-        with pytest.raises(ConfigError):
-            bound(0.0)
 
     def test_gradient_actually_lipschitz(self, rng):
         # empirical check: |grad(y1) - grad(y2)| <= L |y1 - y2|
