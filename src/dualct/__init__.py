@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .metrics import MetricReport, psnr, ssim
 from .objective import DualState, ProblemSpec
 from .regularizer import (ConvStack, load_weights, make_random_weights,
-                          make_tv_weights, make_zero_weights, save_weights)
+                          make_tv_weights, save_weights)
 from .simdata import (NoiseSpec, PhantomSpec, initialize, make_phantom,
                       simulate_measurement)
 from .solver import IterateLog, SolverParams, run
@@ -21,6 +21,6 @@ __all__ = [
     "parallel_geometry", "subsample_views", "uniform_mask",
     "upsample_sinogram_linear", "MetricReport", "psnr", "ssim",
     "load_weights", "make_random_weights", "make_tv_weights",
-    "make_zero_weights", "save_weights", "NoiseSpec", "PhantomSpec",
+    "save_weights", "NoiseSpec", "PhantomSpec",
     "initialize", "make_phantom", "simulate_measurement",
 ]

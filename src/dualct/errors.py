@@ -87,6 +87,15 @@ def list_of(item, length: int | None = None):
     return read
 
 
+def instance_of(cls):
+    """Reader of a value that must be an instance of ``cls``, kept as it is."""
+    def read(value, key: str):
+        if not isinstance(value, cls):
+            raise ConfigError(f"{key} must be a {cls.__name__}, got {type(value).__name__}")
+        return value
+    return read
+
+
 def read_fields(obj, **readers) -> None:
     """Reads each named field of the dataclass ``obj`` through its reader
     and stores the converted value; frozen dataclasses included."""

@@ -175,9 +175,8 @@ def grid_from_config(cfg, key: str = "geometry.grid") -> GridSpec:
 def geometry_from_config(cfg) -> ScanGeometry:
     parallel = {"grid": grid_from_config, "n_views": config_count, "n_dets": config_count,
                 "det_spacing": config_float}
-    fan = {**parallel, "source_radius": config_float, "source_to_detector": config_float}
     args = _read_variant(cfg, "geometry", "kind", "parallel", {
-        "parallel": parallel, "fan": fan, "fan-beam-equiangular": fan},
+        "parallel": parallel, "fan": {**parallel, "source_radius": config_float}},
         required=("grid", "n_views", "n_dets"))
     return (parallel_geometry if args.pop("kind") == "parallel" else fan_geometry)(**args)
 

@@ -8,6 +8,7 @@ extractors).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -208,7 +209,7 @@ def block_lipschitz(spec: ProblemSpec):
     """
     l_z = 1.0 + spec.lam
     l_x = _ata_norm(spec)
-    return l_z, l_x, (l_x + l_z + np.sqrt((l_x - l_z)**2 + 4.0 * l_x)) / 2
+    return l_z, l_x, (l_x + l_z + math.hypot(l_x - l_z, 2.0 * math.sqrt(l_x))) / 2
 
 
 def lipschitz_regularizers(spec: ProblemSpec):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, FormatError, InputError, config_float, config_int,
-                     config_seed, list_of, read_fields)
+from .errors import (ConfigError, FormatError, config_float, config_int, config_seed,
+                     list_of, read_fields)
 
 WEIGHT_MAGIC = b"DCTW"
 WEIGHT_VERSION = 1
@@ -26,7 +26,6 @@ WEIGHT_VERSION = 1
 def smoothed_relu(t, delta):
     """C^1 quadratic-spline ReLU (0 below -delta, identity above delta) and
     its slope, which lies in [0, 1]; returns ``(value, slope)``."""
-    t = np.asarray(t, dtype=float)
     low, high, shifted = t <= -delta, t >= delta, t + delta
     return (np.where(low, 0.0, np.where(high, t, shifted**2 / (4.0 * delta))),
             np.where(low, 0.0, np.where(high, 1.0, shifted / (2.0 * delta))))
@@ -39,19 +38,25 @@ class ConvStack:
     Each layer is an array of shape (out_channels, in_channels, kh, kw)
     with odd kernel dims; layers are applied with stride 1 and zero "same"
     padding, separated by the smoothed ReLU (the last layer stays linear).
+    Each layer may be any nest of real numbers numpy can read; it is stored
+    as a float64 array (a float64 array as itself, not a copy).
     """
 
     layers: tuple[np.ndarray, ...]
     activation_delta: float = 0.01
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("ConvStack needs at least one layer")
         read_fields(self, activation_delta=config_float)
         if not self.activation_delta > 0:
             raise ConfigError(f"activation_delta must be positive, got {self.activation_delta}")
-        in_c = 1
+        layers, in_c = [], 1
         for li, w in enumerate(self.layers):
+            try:
+                w = np.asarray(w)
+            except ValueError as exc:  # ragged
+                raise ConfigError(f"layer {li}: weights must be an array: {exc}") from None
+            if w.dtype.kind not in "iuf":
+                raise ConfigError(f"layer {li}: weights must be real numbers, got {w.dtype}")
             if w.ndim != 4 or min(w.shape) < 1:
                 raise ConfigError(f"layer {li}: weights must be 4-D (out, in, kh, kw) with "
                                   f"every dimension at least 1, got shape {w.shape}")
@@ -61,7 +66,11 @@ class ConvStack:
                 raise ConfigError(f"layer {li}: kernel dims must be odd")
             if not np.all(np.isfinite(w)):
                 raise ConfigError(f"layer {li}: non-finite weights")
+            layers.append(w.astype(float, copy=False))
             in_c = w.shape[0]
+        if not layers:
+            raise ConfigError("ConvStack needs at least one layer")
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def n_layers(self) -> int:
@@ -140,9 +149,6 @@ def feature_forward(y: np.ndarray, stack: ConvStack):
     which the Jacobian passes :func:`feature_vjp` and :func:`feature_jvp`
     take.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise InputError("feature_forward expects a 2-D field")
     h = y[None]
     slopes = []
     for li, w in enumerate(stack.layers):
@@ -160,12 +166,7 @@ def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
     ``cotangent`` is (n_sites, out_channels) and ``slopes`` comes from
     :func:`feature_forward` at ``y``; the result has the shape of ``y``.
     """
-    y = np.asarray(y, dtype=float)
-    cot = np.asarray(cotangent, dtype=float)
-    n_sites = y.shape[0] * y.shape[1]
-    if cot.shape != (n_sites, stack.out_channels):
-        raise InputError("cotangent shape does not match extractor output")
-    g = cot.T.reshape(stack.out_channels, *y.shape)
+    g = cotangent.T.reshape(stack.out_channels, *y.shape)
     for li in range(stack.n_layers - 1, -1, -1):
         g = _conv_layer_adjoint(g, stack.layers[li])
         if li > 0:
@@ -177,15 +178,12 @@ def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
                 slopes) -> np.ndarray:
     """Directional derivative of the extractor at ``y`` along ``tangent``.
 
-    ``slopes`` comes from :func:`feature_forward` at ``y``. Returns an
+    ``slopes`` comes from :func:`feature_forward` at ``y``, which enters
+    only through them; ``tangent`` has the shape of ``y``. Returns an
     (n_sites, out_channels) array; used by the power iteration in
     :func:`lipschitz_estimate`.
     """
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(tangent, dtype=float)
-    if v.shape != y.shape:
-        raise InputError("tangent shape must match the input field")
-    hv = v[None]
+    hv = tangent[None]
     for li, w in enumerate(stack.layers):
         hv = _conv_layer(hv, w)
         if li < stack.n_layers - 1:
@@ -229,12 +227,15 @@ def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
 
 def power_iteration(apply, v: np.ndarray, power_iters: int) -> float:
     """Largest eigenvalue of the symmetric positive semidefinite operator
-    ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes)."""
+    ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes,
+    inf if the norm of a product overflows)."""
     v = v / np.linalg.norm(v)
     lam = 0.0
     for _ in range(power_iters):
         w = apply(v)
         lam = np.linalg.norm(w)
+        if not math.isfinite(lam):
+            return math.inf
         if lam == 0.0:
             return 0.0
         v = w / lam
@@ -251,17 +252,19 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     single linear layer; otherwise max|a''| = 1/(2*delta) times the product
     of layer Frobenius norms). Neither depends on eps, so the power
     iteration runs once for every positive eps the returned function is given.
+    Weights too large for the products give an infinite estimate.
     """
     rng = np.random.default_rng(0)
     y = rng.standard_normal(probe_shape)
-    _, slopes = feature_forward(y, stack)
-    m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
-        lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, slopes), slopes),
-        rng.standard_normal(probe_shape), 30)
-    curvature = 0.0 if stack.n_layers == 1 else (
-        math.prod(float(np.linalg.norm(w)) for w in stack.layers)
-        / (2.0 * stack.activation_delta))
-    curvature_term = np.sqrt(probe_shape[0] * probe_shape[1]) * curvature
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, slopes = feature_forward(y, stack)
+        m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
+            lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, slopes), slopes),
+            rng.standard_normal(probe_shape), 30)
+        curvature = 0.0 if stack.n_layers == 1 else (
+            math.prod(float(np.linalg.norm(w)) for w in stack.layers)
+            / (2.0 * stack.activation_delta))
+    curvature_term = math.sqrt(probe_shape[0] * probe_shape[1]) * curvature
 
     return lambda eps: float(curvature_term + m_spec_sq / eps)
 
@@ -285,11 +288,6 @@ def make_tv_weights(scale: float = 1.0) -> ConvStack:
     kv[1, 1] = -scale
     kv[2, 1] = scale
     return ConvStack((np.stack([kh, kv])[:, None],))
-
-
-def make_zero_weights() -> ConvStack:
-    """All-zero single 3x3 layer; the regularizer vanishes identically."""
-    return ConvStack((np.zeros((1, 1, 3, 3)),))
 
 
 def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,

@@ -10,7 +10,7 @@ from .errors import ConfigError, config_float, config_seed, list_of, read_fields
 from .objective import DualState
 from .tomo import (GridSpec, Image, ScanGeometry, Sinogram, ViewMask,
                    fbp_reconstruct, forward_project, subsample_views,
-                   upsample_sinogram_linear)
+                   read_grid, upsample_sinogram_linear)
 
 # (intensity, a, b, x0, y0, phi_deg) in the unit square [-1, 1]^2;
 # standard modified Shepp-Logan ellipse table.
@@ -44,7 +44,7 @@ class PhantomSpec:
         if self.kind == "custom-ellipses" and not self.ellipses:
             raise ConfigError("custom-ellipses phantom needs an ellipse list")
         # each ellipse is (intensity, a, b, x0, y0, phi_deg)
-        read_fields(self, ellipses=list_of(list_of(config_float, 6)))
+        read_fields(self, grid=read_grid, ellipses=list_of(list_of(config_float, 6)))
         for e in self.ellipses:
             if not (e[1] > 0 and e[2] > 0):
                 raise ConfigError("ellipse axes must be positive")

@@ -237,21 +237,26 @@ def smoothing_update(eps: float, gnorm_new: float, params: SolverParams) -> floa
 
 
 def backtrack_bound(params: SolverParams, l_hat: float) -> int:
-    """Upper bound on backtracks at Lipschitz level l_hat:
-    ceil(log_rho((delta + L/2)^-1 / max(bar steps))) + 1."""
-    target = 1.0 / (params.delta + 0.5 * l_hat)
-    ratio = target / max(params.bar_alpha0, params.bar_beta0)
-    if ratio >= 1.0:
+    """Upper bound on backtracks at a finite Lipschitz level l_hat:
+    ceil(log_rho((delta + L/2)^-1 / max(bar steps))) + 1, with the ratio
+    taken in logs, so that it cannot underflow."""
+    log_ratio = (-math.log(params.delta + 0.5 * l_hat)
+                 - math.log(max(params.bar_alpha0, params.bar_beta0)))
+    if log_ratio >= 0.0:
         return 1
-    return int(math.ceil(math.log(ratio) / math.log(params.rho))) + 1
+    return int(math.ceil(log_ratio / math.log(params.rho))) + 1
 
 
 def _check_backtrack_budget(lip: LipschitzConstants, params: SolverParams) -> None:
     """Configure-time guard: the shrink budget must reach an acceptable step
     at the smallest smoothing level the schedule can visit."""
     eps_min = params.eps_tol if params.eps_tol > 0 else params.eps0 * params.gamma**20
+    l_hat = lip.composite(eps_min)
+    if not math.isfinite(l_hat):
+        raise ConfigError(f"the Lipschitz estimate at the smallest scheduled eps ({eps_min:g}) "
+                          "overflowed; the weights or lambda are too large")
     # the bound counts trial steps, the budget counts shrinks between them
-    if backtrack_bound(params, lip.composite(eps_min)) > params.max_backtracks + 1:
+    if backtrack_bound(params, l_hat) > params.max_backtracks + 1:
         raise ConfigError(
             "max_backtracks too small for the Lipschitz estimate at the "
             f"smallest scheduled eps ({eps_min:g}); increase max_backtracks")

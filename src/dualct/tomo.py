@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (ConfigError, InputError, config_count, config_float, config_int,
-                     list_of, read_fields)
+                     instance_of, list_of, read_fields)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -61,13 +61,18 @@ class GridSpec:
         return xs, ys
 
 
+read_grid = instance_of(GridSpec)
+
+
 @dataclass(frozen=True)
 class ScanGeometry:
     """Acquisition geometry: view angles, detector array, and the image grid.
 
     ``det_spacing`` is a length for parallel beam and an angular increment
-    (radians) for the equiangular fan. ``source_radius`` and
-    ``source_to_detector`` are only meaningful for the fan.
+    (radians) for the equiangular fan. ``source_radius`` is only meaningful
+    for the fan. A fan ray is traced from the source until it is past the
+    grid (see :func:`_view_endpoints`); the chords, and so the projector, do
+    not depend on where the detector is, so the geometry does not hold it.
     """
 
     kind: str
@@ -76,23 +81,20 @@ class ScanGeometry:
     det_spacing: float
     grid: GridSpec
     source_radius: float = 0.0
-    source_to_detector: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (PARALLEL, FAN):
             raise ConfigError(f"unknown geometry kind {self.kind!r}")
-        read_fields(self, angles=list_of(config_float), n_dets=config_count,
-                    det_spacing=config_float, source_radius=config_float,
-                    source_to_detector=config_float)
+        read_fields(self, grid=read_grid, angles=list_of(config_float), n_dets=config_count,
+                    det_spacing=config_float, source_radius=config_float)
         if not self.det_spacing > 0:
             raise ConfigError("det_spacing must be positive")
         if not self.angles:
             raise ConfigError("angles must be a non-empty sequence")
         if np.any(np.diff(self.angles) <= 0):
             raise ConfigError("angles must be strictly increasing")
-        if self.kind == FAN:
-            if not (self.source_radius > 0 and self.source_to_detector > 0):
-                raise ConfigError("fan beam needs positive source_radius and source_to_detector")
+        if self.kind == FAN and not self.source_radius > 0:
+            raise ConfigError("fan beam needs a positive source_radius")
 
     @property
     def n_views_full(self) -> int:
@@ -113,29 +115,26 @@ def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
     """
     n_views, n_dets = config_count(n_views, "n_views"), config_count(n_dets, "n_dets")
     if det_spacing is None:
-        xmin, xmax, ymin, ymax = grid.extent
+        xmin, xmax, ymin, ymax = read_grid(grid, "grid").extent
         diag = np.hypot(xmax - xmin, ymax - ymin)
         det_spacing = diag / n_dets
     angles = tuple(np.arange(n_views) * (np.pi / n_views))
     return ScanGeometry(PARALLEL, angles, n_dets, det_spacing, grid)
 
 
-def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None, source_to_detector=None):
+def fan_geometry(n_views, n_dets, grid, det_spacing=None, source_radius=None):
     """Evenly spaced equiangular fan-beam geometry covering [0, 2*pi)."""
     n_views, n_dets = config_count(n_views, "n_views"), config_count(n_dets, "n_dets")
-    xmin, xmax, ymin, ymax = grid.extent
+    xmin, xmax, ymin, ymax = read_grid(grid, "grid").extent
     radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin)
     source_radius = (2.0 * radius if source_radius is None
                      else config_float(source_radius, "source_radius"))
-    if source_to_detector is None:
-        source_to_detector = 2.0 * source_radius
     if det_spacing is None:
         # full fan angle subtending the grid circle, small safety margin
         half_fan = np.arcsin(min(0.999, radius / source_radius)) * 1.05
         det_spacing = 2.0 * half_fan / n_dets
     angles = tuple(np.arange(n_views) * (2.0 * np.pi / n_views))
-    return ScanGeometry(FAN, angles, n_dets, det_spacing, grid,
-                        source_radius=source_radius, source_to_detector=source_to_detector)
+    return ScanGeometry(FAN, angles, n_dets, det_spacing, grid, source_radius=source_radius)
 
 
 def _finite_field(values, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -161,7 +160,7 @@ class Image:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _finite_field(self.values, self.grid.shape, "image")
+        self.values = _finite_field(self.values, read_grid(self.grid, "grid").shape, "image")
 
 
 @dataclass
@@ -177,6 +176,7 @@ class Sinogram:
     values: np.ndarray
 
     def __post_init__(self):
+        read_fields(self, geometry=instance_of(ScanGeometry))
         try:
             idx = np.asarray(self.view_indices)
         except ValueError as exc:  # ragged
@@ -258,7 +258,10 @@ def _view_endpoints(geo: ScanGeometry, theta: float, t: np.ndarray):
 
     ``t`` holds each ray's detector coordinate: the offset from the
     rotation center for parallel beam, the angle within the fan for the
-    equiangular fan.
+    equiangular fan. A parallel ray runs the grid diagonal to each side of
+    the detector line; a fan ray runs from the source for 3*source_radius +
+    diagonal, past the far side of the grid wherever the source is. So no
+    chord depends on where a segment ends.
     """
     ox, oy = geo.grid.origin
     xmin, xmax, ymin, ymax = geo.grid.extent
@@ -273,7 +276,9 @@ def _view_endpoints(geo: ScanGeometry, theta: float, t: np.ndarray):
     # from the source on the circle of radius source_radius, toward the
     # rotation center turned by the fan angle t
     src = np.array([ox + geo.source_radius * cos, oy + geo.source_radius * sin])
-    reach = geo.source_radius + geo.source_to_detector + diag
+    # R + 2R + diag, the reach when the geometry held a source-to-detector
+    # distance (default 2R): the same segments, so the same matrix bytes
+    reach = 3.0 * geo.source_radius + diag
     p1 = np.stack([src[0] - reach * np.cos(theta + t),
                    src[1] - reach * np.sin(theta + t)], axis=1)
     return np.broadcast_to(src, p1.shape), p1

@@ -14,8 +14,7 @@ from dualct.metrics import psnr
 from dualct.objective import (DualState, ProblemSpec, evaluate, grad_norm,
                               lipschitz_constants)
 from dualct.regularizer import (feature_forward, l21_norm, make_random_weights,
-                                make_tv_weights, make_zero_weights,
-                                smoothed_grad, smoothed_value)
+                                make_tv_weights, smoothed_grad, smoothed_value)
 from dualct.simdata import PhantomSpec, make_phantom
 from dualct.solver import SolverParams, backtrack_bound, run
 from dualct.tomo import (GridSpec, Image, Sinogram, back_project,
@@ -234,9 +233,7 @@ class TestCriterion7LeastSquaresOracle:
         mask = uniform_mask(24, 12)
         truth = Image(grid, rng.random(grid.shape))
         s = subsample_views(forward_project(truth, geo), mask)
-        spec = ProblemSpec(geo, mask, s, lam=10.0,
-                           image_weights=make_zero_weights(),
-                           sino_weights=make_zero_weights())
+        spec = ProblemSpec(geo, mask, s, lam=10.0)
         init = _full_state(geo, np.zeros(grid.shape), np.zeros((24, 15)))
         final, _ = run(spec, init, SolverParams(eps_tol=0.0, max_iters=2000))
 

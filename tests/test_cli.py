@@ -254,6 +254,12 @@ class TestExitCodes:
         ("mode.phases", {"mode": {"type": "converge", "phases": 3}}),
         ("phantom.ellipses", {"phantom": {"ellipses": [[1.0, 0.5, 0.5, 0.0, 0.0, 0.0]]}}),
         ("mask", {"mask": {"n_keep": 8, "selected": [0, 3]}}),
+        ("unknown key geometry.source_to_detector",
+         {"geometry": {"grid": {"nx": 16, "ny": 16}, "kind": "fan", "n_views": 24,
+                       "n_dets": 23, "source_to_detector": 8}}),
+        ("unknown geometry.kind 'fan-beam-equiangular'",
+         {"geometry": {"grid": {"nx": 16, "ny": 16}, "kind": "fan-beam-equiangular",
+                       "n_views": 24, "n_dets": 23}}),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, key, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -272,6 +278,24 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert (tmp_path / "out" / "iterations.csv").exists()
 
+    @pytest.mark.parametrize("overrides, solver, scale, message", [
+        ({"lambda": 1e200}, {}, 0.002, "increase max_backtracks"),
+        ({"lambda": 1e155}, {}, 0.002, "increase max_backtracks"),
+        ({"lambda": 1e30}, {"bar_alpha0": 1e300}, 0.002, "increase max_backtracks"),
+        ({}, {}, 1e160, "overflowed"),
+        ({}, {}, 1e100, "overflowed"),
+    ], ids=["lambda-1e200", "lambda-1e155", "bar-step-1e300", "tv-1e160", "tv-1e100"])
+    def test_extreme_finite_reals(self, tmp_path, capsys, overrides, solver, scale, message):
+        # finite values whose Lipschitz estimate or backtrack count is out
+        # of float range: the guard must refuse them before iteration 0,
+        # with no traceback and without taking an overflowed estimate for 0
+        cfg = write_config(tmp_path, **overrides, solver={"max_iters": 5, **solver},
+                           regularizers={"image": {"source": "tv", "scale": scale}})
+        for cmd in ("phantom", "simulate"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     @staticmethod
     def _nan_payload(path):
@@ -411,7 +435,7 @@ class TestExitCodes:
 KNOWN_KEYS = {
     "geometry", "mask", "phantom", "noise", "lambda", "regularizers", "solver", "mode",
     "output", "grid", "kind", "n_views", "n_dets", "det_spacing", "source_radius",
-    "source_to_detector", "nx", "ny", "pixel_size", "origin", "n_keep", "selected",
+    "nx", "ny", "pixel_size", "origin", "n_keep", "selected",
     "ellipses", "model", "sigma", "photons", "seed", "image", "sinogram", "source",
     "layers", "channels", "kernel", "scale", "path", "type", "phases",
 } | {f.name for f in fields(SolverParams)}
@@ -422,7 +446,7 @@ SECTIONS = [
     ({}, "", ["lambda"]),
     ({}, "geometry", ["n_views", "n_dets", "det_spacing"]),
     ({"geometry": {"grid": {"nx": 16, "ny": 16}, "kind": "fan", "n_views": 24, "n_dets": 23}},
-     "geometry", ["source_radius", "source_to_detector"]),
+     "geometry", ["source_radius"]),
     ({}, "geometry.grid", ["nx", "ny", "pixel_size", "origin"]),
     ({}, "mask", ["n_keep", "selected"]),
     ({}, "phantom", ["ellipses"]),

@@ -10,8 +10,8 @@ from dualct.objective import ProblemSpec
 from dualct.regularizer import ConvStack, make_random_weights, make_tv_weights
 from dualct.simdata import NoiseSpec, PhantomSpec
 from dualct.solver import SolverParams
-from dualct.tomo import (GridSpec, Sinogram, ViewMask, fan_geometry, parallel_geometry,
-                         uniform_mask)
+from dualct.tomo import (PARALLEL, GridSpec, Image, ScanGeometry, Sinogram, ViewMask,
+                         fan_geometry, parallel_geometry, uniform_mask)
 
 
 def _not_a_number(text: str) -> bool:
@@ -102,3 +102,33 @@ def test_problem_spec_refuses_weights_that_are_not_a_conv_stack(name, weights):
     # run would otherwise fail later with an AttributeError on .layers
     with pytest.raises(ConfigError, match=f"{name} must be a ConvStack or None"):
         ProblemSpec(GEO, MASK, MEASURED, **{name: weights})
+
+
+# a layer whose second output channel has fewer kernel rows than its first
+RAGGED = [[[[0.0] * 3] * 3], [[[0.0] * 3] * 2]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConvStack((np.ones((1, 1, 3, 3), dtype=complex),)), "layer 0: .* real numbers"),
+    (lambda: ConvStack((np.ones((1, 1, 3, 3), dtype=bool),)), "layer 0: .* real numbers"),
+    (lambda: ConvStack((RAGGED,)), "layer 0: .* an array"),
+    (lambda: ConvStack("abc"), "layer 0: .* real numbers"),
+    (lambda: ScanGeometry(PARALLEL, (0.0,), 3, 1.0, None), "grid must be a GridSpec"),
+    (lambda: PhantomSpec("disk", "grid"), "grid must be a GridSpec"),
+    (lambda: Image("g", np.zeros(4)), "grid must be a GridSpec"),
+    (lambda: Sinogram("geo", [0], np.zeros(3)), "geometry must be a ScanGeometry"),
+], ids=["complex-layer", "bool-layer", "ragged-layer", "string-layers", "ScanGeometry.grid",
+        "PhantomSpec.grid", "Image.grid", "Sinogram.geometry"])
+def test_constructor_refuses_values_of_the_wrong_type(build, message):
+    # each would otherwise be accepted or end in a bare AttributeError later
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_conv_stack_stores_layers_as_float64():
+    nested = [[[[0, 1.5, 0]]], [[[2, 0, 0]]]]  # a (2, 1, 1, 3) layer of ints and floats
+    (layer,) = ConvStack((nested,)).layers
+    assert layer.dtype == np.float64
+    np.testing.assert_array_equal(layer, np.array(nested, dtype=float))
+    # a float64 layer is kept as it is, not copied
+    assert ConvStack((LAYER,)).layers[0] is LAYER

@@ -107,7 +107,7 @@ def small_geometries(draw):
         xmin, xmax, ymin, ymax = grid.extent
         radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin) * draw(st.floats(1.1, 3.0))
         geo = ScanGeometry(FAN, angles, n_dets, draw(st.floats(0.01, 0.3)), grid,
-                           source_radius=radius, source_to_detector=radius)
+                           source_radius=radius)
         # every fan ray must be off-axis too
         span = np.arange(n_dets) - 0.5 * (n_dets - 1)
         assume(_off_axis(np.add.outer(angles, span * geo.det_spacing)))
@@ -219,8 +219,7 @@ class TestForwardProject:
         base = fan_geometry(8, 9, grid)
         angles = tuple(np.asarray(base.angles) + 0.0213)
         geo = ScanGeometry(FAN, angles, 9, base.det_spacing, grid,
-                           source_radius=base.source_radius,
-                           source_to_detector=base.source_to_detector)
+                           source_radius=base.source_radius)
         dense = dense_matrix_oracle(geo)
         img = rng.standard_normal((6, 6))
         expected = (dense @ img.ravel()).reshape(8, 9)
@@ -542,7 +541,6 @@ class TestGeometryValidation:
         "n_dets": _NOT_INTEGER,
         "det_spacing": _NOT_REAL,
         "source_radius": _NOT_REAL,
-        "source_to_detector": _NOT_REAL,
     }
 
     @pytest.mark.parametrize("field", sorted(BAD_VALUES))
@@ -551,7 +549,7 @@ class TestGeometryValidation:
     def test_rejects_non_finite_and_non_integer(self, field, data):
         grid = {"nx": 8, "ny": 8, "pixel_size": 0.25, "origin": (0.0, 0.0)}
         geo = {"kind": data.draw(st.sampled_from([PARALLEL, FAN])), "angles": (0.0, 1.0, 2.0),
-               "n_dets": 5, "det_spacing": 0.1, "source_radius": 4.0, "source_to_detector": 8.0}
+               "n_dets": 5, "det_spacing": 0.1, "source_radius": 4.0}
         (grid if field in grid else geo)[field] = data.draw(self.BAD_VALUES[field])
         with pytest.raises(ConfigError):
             ScanGeometry(grid=GridSpec(**grid), **geo)
