@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .metrics import MetricReport, psnr, ssim
 from .objective import DualState, ProblemSpec
-from .regularizer import (ConvStack, load_weights, make_random_weights,
-                          make_tv_weights, save_weights)
+from .regularizer import ConvStack, make_random_weights, make_tv_weights
 from .simdata import (NoiseSpec, PhantomSpec, initialize, make_phantom,
                       simulate_measurement)
 from .solver import IterateLog, SolverParams, run
@@ -20,7 +19,6 @@ __all__ = [
     "back_project", "fan_geometry", "fbp_reconstruct", "forward_project",
     "parallel_geometry", "subsample_views", "uniform_mask",
     "upsample_sinogram_linear", "MetricReport", "psnr", "ssim",
-    "load_weights", "make_random_weights", "make_tv_weights",
-    "save_weights", "NoiseSpec", "PhantomSpec",
+    "make_random_weights", "make_tv_weights", "NoiseSpec", "PhantomSpec",
     "initialize", "make_phantom", "simulate_measurement",
 ]

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
 from .objective import DualState, ProblemSpec
-from .regularizer import save_weights
 from .simdata import initialize, make_phantom, simulate_measurement
 from .solver import run as solver_run
 from .tomo import Sinogram, fbp_reconstruct, zero_fill_views
@@ -175,7 +174,7 @@ def cmd_weights(kind, out_path, domain="image", seed=0) -> str:
         raise ConfigError(f"unknown weight kind {kind!r}")
     cfg = {"source": kind, "seed": seed} if kind == "random" else {"source": kind}
     stack = io.weights_from_config(cfg, domain)
-    save_weights(stack, out_path)
+    io.save_weights(stack, out_path)
     return f"{kind} weights ({stack.n_layers} layers, {stack.out_channels} ch) -> {out_path}"
 
 

@@ -19,13 +19,7 @@ class InputError(DualCTError):
 
 
 class FormatError(DualCTError):
-    """Malformed file on disk (weight files, array sidecars, configs)."""
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (at byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
+    """Malformed file on disk (array files and their sidecars, configs)."""
 
 
 class NumericalError(DualCTError):
@@ -63,7 +57,7 @@ def config_count(value, key: str) -> int:
     """A count: an integer of at least 1."""
     count = config_int(value, key)
     if count < 1:
-        raise ConfigError(f"{key} must be >= 1, got {count}")
+        raise ConfigError(f"{key} must be at least 1, got {count}")
     return count
 
 

@@ -1,5 +1,6 @@
-"""On-disk formats: raw float64 arrays with JSON sidecars, 16-bit PGM
-export, and the YAML run configuration."""
+"""On-disk formats: raw float64 arrays with JSON sidecars (images,
+sinograms and extractor weights alike), 16-bit PGM export, and the YAML
+run configuration."""
 
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ import yaml
 
 from .errors import (ConfigError, FormatError, config_count, config_float, config_int,
                      config_seed, list_of)
-from .regularizer import (ConvStack, load_weights, make_random_weights,
-                          make_tv_weights)
+from .regularizer import ConvStack, make_random_weights, make_tv_weights
 from .simdata import NoiseSpec, PhantomSpec
 from .solver import SolverParams
 from .tomo import (GridSpec, Image, ScanGeometry, Sinogram, ViewMask,
@@ -53,8 +53,7 @@ def load_array(path):
         raise FormatError(f"bad sidecar {sidecar_path}: {exc}") from None
     raw = path.read_bytes()
     if len(raw) != math.prod(shape) * 8 or min(shape, default=0) < 0:
-        raise FormatError(
-            f"payload size {len(raw)} does not match shape {shape}", offset=len(raw))
+        raise FormatError(f"{path}: payload size {len(raw)} does not match shape {shape}")
     try:
         values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     except ValueError as exc:  # an empty payload of more dims or extent than numpy allows
@@ -95,6 +94,31 @@ def load_sinogram(path, geo: ScanGeometry) -> Sinogram:
         raise FormatError(f"{path}: shape {list(values.shape)} does not match "
                           f"{len(idx)} views x {geo.n_dets} detectors")
     return Sinogram(geo, idx, values)
+
+
+def save_weights(stack: ConvStack, path) -> None:
+    """The layers' values in C order, one layer after another, with the
+    layer shapes and the activation delta in the sidecar."""
+    save_array(path, np.concatenate([w.ravel() for w in stack.layers]),
+               {"kind": "weights", "layer_shapes": [list(w.shape) for w in stack.layers],
+                "activation_delta": stack.activation_delta})
+
+
+def load_weights(path) -> ConvStack:
+    """Read a file written by :func:`save_weights`; any fault in it, the
+    layers or delta it declares included, is a FormatError naming the file."""
+    values, sidecar = load_array(path)
+    try:
+        shapes = list_of(list_of(config_count, 4))(sidecar.get("layer_shapes"), "layer_shapes")
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) != values.size:
+            raise ConfigError(f"layer_shapes need {sum(sizes)} values, the payload holds "
+                              f"{values.size}")
+        parts = np.split(values.ravel(), np.cumsum(sizes[:-1], dtype=int))
+        return ConvStack(tuple(part.reshape(shape) for part, shape in zip(parts, shapes)),
+                         sidecar.get("activation_delta"))
+    except ConfigError as exc:
+        raise FormatError(f"bad weight file {path}: {exc}") from None
 
 
 def export_pgm(path, values: np.ndarray) -> None:

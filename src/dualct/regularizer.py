@@ -9,18 +9,12 @@ convolutions + activation slopes cached by the forward pass).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, FormatError, config_float, config_int, config_seed,
-                     list_of, read_fields)
-
-WEIGHT_MAGIC = b"DCTW"
-WEIGHT_VERSION = 1
+from .errors import ConfigError, config_float, config_int, config_seed, list_of, read_fields
 
 
 def smoothed_relu(t, delta):
@@ -174,12 +168,10 @@ def feature_vjp(y: np.ndarray, stack: ConvStack, cotangent: np.ndarray,
     return g[0]
 
 
-def feature_jvp(y: np.ndarray, stack: ConvStack, tangent: np.ndarray,
-                slopes) -> np.ndarray:
-    """Directional derivative of the extractor at ``y`` along ``tangent``.
-
-    ``slopes`` comes from :func:`feature_forward` at ``y``, which enters
-    only through them; ``tangent`` has the shape of ``y``. Returns an
+def feature_jvp(tangent: np.ndarray, stack: ConvStack, slopes) -> np.ndarray:
+    """Directional derivative of the extractor along ``tangent`` at the
+    field whose :func:`feature_forward` gave ``slopes``; that field enters
+    only through them, and ``tangent`` has its shape. Returns an
     (n_sites, out_channels) array; used by the power iteration in
     :func:`lipschitz_estimate`.
     """
@@ -228,18 +220,21 @@ def smoothed_grad(y: np.ndarray, stack: ConvStack, eps: float,
 def power_iteration(apply, v: np.ndarray, power_iters: int) -> float:
     """Largest eigenvalue of the symmetric positive semidefinite operator
     ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes,
-    inf if the norm of a product overflows)."""
+    inf if the norm of a product exceeds the float range)."""
     v = v / np.linalg.norm(v)
     lam = 0.0
     for _ in range(power_iters):
         w = apply(v)
-        lam = np.linalg.norm(w)
+        # The norm squares the entries, so it is taken of w scaled by a power
+        # of two near 1/max|w|: exact, and free of overflow for any finite w.
+        s = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(w))))[1], 1023))
+        lam = float(np.linalg.norm(w * s)) / s
         if not math.isfinite(lam):
             return math.inf
         if lam == 0.0:
             return 0.0
         v = w / lam
-    return float(lam)
+    return lam
 
 
 def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
@@ -259,7 +254,7 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     with np.errstate(over="ignore", invalid="ignore"):
         _, slopes = feature_forward(y, stack)
         m_spec_sq = power_iteration(  # largest eigenvalue of J^T J
-            lambda v: feature_vjp(y, stack, feature_jvp(y, stack, v, slopes), slopes),
+            lambda v: feature_vjp(y, stack, feature_jvp(v, stack, slopes), slopes),
             rng.standard_normal(probe_shape), 30)
         curvature = 0.0 if stack.n_layers == 1 else (
             math.prod(float(np.linalg.norm(w)) for w in stack.layers)
@@ -270,7 +265,7 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
 
 
 # ---------------------------------------------------------------------------
-# Weight provisioning and I/O
+# Weight provisioning
 # ---------------------------------------------------------------------------
 
 def make_tv_weights(scale: float = 1.0) -> ConvStack:
@@ -307,61 +302,3 @@ def make_random_weights(seed: int = 0, n_layers: int = 3, n_channels: int = 16,
         layers.append(rng.standard_normal((n_channels, in_c) + kernel) * scale / np.sqrt(fan_in))
         in_c = n_channels
     return ConvStack(tuple(layers), activation_delta)
-
-
-def save_weights(stack: ConvStack, path) -> None:
-    """Write the versioned binary weight file plus a JSON metadata sidecar."""
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(WEIGHT_MAGIC)
-        fh.write(struct.pack("<II", WEIGHT_VERSION, stack.n_layers))
-        fh.write(struct.pack("<d", stack.activation_delta))
-        for w in stack.layers:
-            fh.write(struct.pack("<IIII", *w.shape))
-        for w in stack.layers:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-    meta = {
-        "version": WEIGHT_VERSION,
-        "n_layers": stack.n_layers,
-        "activation_delta": stack.activation_delta,
-        "layer_shapes": [list(w.shape) for w in stack.layers],
-    }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-
-
-def load_weights(path) -> ConvStack:
-    """Read a weight file written by :func:`save_weights`; any fault in the
-    file, the layers or delta it declares included, is a FormatError."""
-    with open(str(path), "rb") as fh:
-        data = fh.read()
-    if data[:4] != WEIGHT_MAGIC:
-        raise FormatError(f"bad magic in weight file {path}", offset=0)
-    off = 4
-    try:
-        version, n_layers = struct.unpack_from("<II", data, off)
-        off += 8
-        if version != WEIGHT_VERSION:
-            raise FormatError(f"unsupported version {version} of weight file {path}", offset=4)
-        (delta,) = struct.unpack_from("<d", data, off)
-        off += 8
-        shapes = []
-        for _ in range(n_layers):
-            shapes.append(struct.unpack_from("<IIII", data, off))
-            off += 16
-        layers = []
-        for shp in shapes:
-            end = off + 8 * math.prod(shp)
-            if end > len(data):
-                raise FormatError(f"truncated payload in weight file {path}", offset=off)
-            layers.append(np.frombuffer(data[off:end], dtype="<f8").reshape(shp).copy())
-            off = end
-        if off != len(data):
-            raise FormatError(f"{len(data) - off} bytes after the payload of weight file {path}",
-                              offset=off)
-        return ConvStack(tuple(layers), delta)
-    except struct.error as exc:
-        raise FormatError(f"truncated header in weight file {path}: {exc}", offset=off) from exc
-    except (ConfigError, ValueError) as exc:  # ValueError: an empty layer numpy cannot shape
-        raise FormatError(f"bad weight file {path}: {exc}") from None

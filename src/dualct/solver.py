@@ -249,8 +249,18 @@ def backtrack_bound(params: SolverParams, l_hat: float) -> int:
 
 def _check_backtrack_budget(lip: LipschitzConstants, params: SolverParams) -> None:
     """Configure-time guard: the shrink budget must reach an acceptable step
-    at the smallest smoothing level the schedule can visit."""
-    eps_min = params.eps_tol if params.eps_tol > 0 else params.eps0 * params.gamma**20
+    at the smallest smoothing level the schedule can visit. In converge
+    mode that is the first eps of the solver's own sequence at or below
+    eps_tol, the last it iterates at, or the level max_iters iterations
+    reach if that comes first (eps shrinks at most once an iteration)."""
+    if params.eps_tol > 0:
+        eps_min = params.eps0
+        for _ in range(params.max_iters - 1):
+            if eps_min <= params.eps_tol:
+                break
+            eps_min = params.gamma * eps_min
+    else:
+        eps_min = params.eps0 * params.gamma**20
     l_hat = lip.composite(eps_min)
     if not math.isfinite(l_hat):
         raise ConfigError(f"the Lipschitz estimate at the smallest scheduled eps ({eps_min:g}) "

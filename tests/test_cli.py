@@ -4,12 +4,10 @@ import math
 import os
 import re
 import string
-import struct
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +20,21 @@ from dualct import io
 from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
 from dualct.metrics import psnr
-from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
+from dualct.regularizer import make_random_weights, make_tv_weights
 from dualct.solver import SolverParams
 
 
 ABSENT = object()  # an override value that drops the section
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    src = str(Path(io.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def base_config(tmp_path):
@@ -95,12 +103,15 @@ for argv in (["phantom", "--config", cfg], ["init", "--config", cfg],
 assert main(["simulate", "--config", cfg]) == 0
 assert "scipy.sparse" in sys.modules
 """
-        src = str(Path(io.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(script)
+
+    def test_import_loads_neither_io_nor_yaml(self):
+        script = """
+import sys
+import dualct
+assert "dualct.io" not in sys.modules and "yaml" not in sys.modules, sorted(sys.modules)
+"""
+        run_fresh(script)
 
     def test_manifest_contents(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -151,14 +162,13 @@ assert "scipy.sparse" in sys.modules
 
 class TestWeightsCommand:
     def test_tv_and_random(self, tmp_path):
-        tv_path = tmp_path / "tv.bin"
+        tv_path = tmp_path / "tv.f64"
         assert main(["weights", "--kind", "tv", "--out", str(tv_path)]) == 0
         assert tv_path.exists()
-        rnd_path = tmp_path / "rnd.bin"
+        rnd_path = tmp_path / "rnd.f64"
         assert main(["weights", "--kind", "random", "--out", str(rnd_path),
                      "--domain", "sinogram", "--seed", "5"]) == 0
-        from dualct.regularizer import load_weights
-        stack = load_weights(rnd_path)
+        stack = io.load_weights(rnd_path)
         assert stack.layers[0].shape[2:] == (3, 15)
 
     @pytest.mark.parametrize("kind, domain, expected", [
@@ -168,16 +178,17 @@ class TestWeightsCommand:
         ("random", "sinogram", lambda: make_random_weights(5, kernel=(3, 15))),
     ])
     def test_bytes_match_direct_construction(self, tmp_path, kind, domain, expected):
-        out, ref = tmp_path / "cli.bin", tmp_path / "ref.bin"
+        out, ref = tmp_path / "cli.f64", tmp_path / "ref.f64"
         assert main(["weights", "--kind", kind, "--out", str(out),
                      "--domain", domain, "--seed", "5"]) == 0
-        save_weights(expected(), ref)
+        io.save_weights(expected(), ref)
         assert out.read_bytes() == ref.read_bytes()
+        assert Path(f"{out}.json").read_text() == Path(f"{ref}.json").read_text()
 
     @pytest.mark.parametrize("kind", ["none", "file", "bogus"])
     def test_unknown_kind(self, tmp_path, kind):
         with pytest.raises(ConfigError):
-            cmd_weights(kind, tmp_path / "w.bin")
+            cmd_weights(kind, tmp_path / "w.f64")
 
 
 class TestExitCodes:
@@ -283,7 +294,7 @@ class TestExitCodes:
         ({"lambda": 1e155}, {}, 0.002, "increase max_backtracks"),
         ({"lambda": 1e30}, {"bar_alpha0": 1e300}, 0.002, "increase max_backtracks"),
         ({}, {}, 1e160, "overflowed"),
-        ({}, {}, 1e100, "overflowed"),
+        ({}, {}, 1e100, "increase max_backtracks"),
     ], ids=["lambda-1e200", "lambda-1e155", "bar-step-1e300", "tv-1e160", "tv-1e100"])
     def test_extreme_finite_reals(self, tmp_path, capsys, overrides, solver, scale, message):
         # finite values whose Lipschitz estimate or backtrack count is out
@@ -358,25 +369,24 @@ class TestExitCodes:
                        for name in ("fbp.f64", "x0.f64", "recon.f64"))
 
     @staticmethod
-    def _overflowing_shape(path):
-        # 65536**4 elements wrap to 0 in int64 arithmetic
-        save_weights(make_tv_weights(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:20] + struct.pack("<4I", *(65536,) * 4) + data[36:])
-
-    @staticmethod
-    def _unchecked(layers, delta=0.01):
-        # save_weights for layers and a delta that ConvStack would reject
-        return lambda path: save_weights(SimpleNamespace(
-            layers=layers, activation_delta=delta, n_layers=len(layers)), path)
+    def _unchecked(layer_shapes, delta=0.01):
+        # a weight file whose sidecar declares what ConvStack would reject
+        def write(path):
+            io.save_weights(make_tv_weights(), path)
+            sidecar = Path(f"{path}.json")
+            sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                           "layer_shapes": layer_shapes,
+                                           "activation_delta": delta}))
+        return write
 
     @pytest.mark.parametrize("write, message", [
-        (_overflowing_shape, "truncated payload"),
-        (_unchecked((np.ones((2, 1, 3, 3)),), math.nan), "activation_delta"),
-        (_unchecked((np.ones((0, 1, 3, 3)), np.ones((2, 0, 3, 3)))), "at least 1"),
+        # 65536**4 elements wrap to 0 in int64 arithmetic
+        (_unchecked([[65536] * 4]), f"need {65536**4} values"),
+        (_unchecked([[2, 1, 3, 3]], math.nan), "activation_delta"),
+        (_unchecked([[0, 1, 3, 3], [2, 0, 3, 3]]), "at least 1"),
     ], ids=["overflow", "nan-delta", "zero-extent"])
     def test_bad_weight_file(self, tmp_path, capsys, write, message):
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         write(path)
         cfg = write_config(tmp_path, regularizers={"image": {"source": "file", "path": str(path)}})
         assert main(["phantom", "--config", str(cfg)]) == EXIT_IO
@@ -399,11 +409,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("seed", ["-1", "abc"])
     def test_bad_seed_flag(self, tmp_path, capsys, seed):
         with pytest.raises(SystemExit) as exc:
-            main(["weights", "--kind", "random", "--out", str(tmp_path / "w.bin"),
+            main(["weights", "--kind", "random", "--out", str(tmp_path / "w.f64"),
                   "--seed", seed])
         assert exc.value.code == EXIT_CONFIG
         assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "w.bin").exists()
+        assert not (tmp_path / "w.f64").exists()
 
     @pytest.mark.parametrize("random", [{"channels": 0}, {"channels": -1}, {"kernel": [-1, 3]}])
     def test_empty_random_weights(self, tmp_path, capsys, random):
@@ -548,9 +558,9 @@ class TestConfigSchema:
         reconstruct, 16x16 parallel beam."""
         weights = {"tv": {"source": "tv"}, "none": {"source": "none"},
                    "random": {"source": "random", "layers": 2, "channels": 2},
-                   "file": {"source": "file", "path": str(tmp_path / "w.bin")}}[source]
+                   "file": {"source": "file", "path": str(tmp_path / "w.f64")}}[source]
         if source == "file":
-            assert main(["weights", "--kind", "tv", "--out", str(tmp_path / "w.bin")]) == 0
+            assert main(["weights", "--kind", "tv", "--out", str(tmp_path / "w.f64")]) == 0
         cfg = write_config(tmp_path, noise=noise, solver={"max_iters": 3},
                            regularizers={"image": weights, "sinogram": weights})
         for cmd in ("phantom", "simulate", "init", "reconstruct"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dualct import io
 from dualct.errors import ConfigError, FormatError, InputError
-from dualct.regularizer import make_random_weights, make_tv_weights, save_weights
+from dualct.regularizer import make_random_weights, make_tv_weights
 from dualct.solver import SolverParams
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram,
                          parallel_geometry, uniform_mask)
@@ -183,7 +183,7 @@ class TestConfig:
         ("geometry.grid.nx", {"grid": {"nx": 0, "ny": 8}, "n_views": 4, "n_dets": 5}),
     ])
     def test_geometry_empty_count_named(self, key, cfg):
-        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got 0"):
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1, got 0"):
             io.geometry_from_config({"grid": {"nx": 8, "ny": 8}, **cfg})
 
     def test_mask_variants(self):
@@ -207,8 +207,8 @@ class TestConfig:
         rnd = io.weights_from_config({"source": "random", "seed": 2,
                                       "layers": 2, "channels": 4}, "image")
         assert rnd.n_layers == 2 and rnd.out_channels == 4
-        path = tmp_path / "w.bin"
-        save_weights(make_tv_weights(), path)
+        path = tmp_path / "w.f64"
+        io.save_weights(make_tv_weights(), path)
         loaded = io.weights_from_config({"source": "file", "path": str(path)}, "image")
         assert loaded.n_layers == 1
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
+import json
 import math
-import struct
 import tracemalloc
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from dualct.errors import ConfigError, FormatError
 from dualct import regularizer
+from dualct.io import load_weights, save_array, save_weights
 from dualct.regularizer import (ConvStack, feature_forward,
                                 feature_jvp, feature_vjp, l21_norm,
-                                lipschitz_estimate, load_weights, power_iteration,
-                                make_random_weights, make_tv_weights, save_weights,
+                                lipschitz_estimate, power_iteration,
+                                make_random_weights, make_tv_weights,
                                 smoothed_grad, smoothed_relu, smoothed_value)
 
 
@@ -97,7 +98,7 @@ class TestFeatureExtractor:
         for _ in range(20):
             v = rng.standard_normal(y.shape)
             u = rng.standard_normal((y.size, stack.out_channels))
-            jv = feature_jvp(y, stack, v, slopes)
+            jv = feature_jvp(v, stack, slopes)
             jtu = feature_vjp(y, stack, u, slopes)
             lhs = np.sum(jv * u)
             rhs = np.sum(v * jtu)
@@ -109,8 +110,8 @@ class TestFeatureExtractor:
         v = rng.standard_normal(y.shape)
         eps = 0.05
         forward = feature_forward(y, stack)
-        np.testing.assert_array_equal(feature_jvp(y, stack, v, forward[1]),
-                                      feature_jvp(y, stack, v, feature_forward(y, stack)[1]))
+        np.testing.assert_array_equal(feature_jvp(v, stack, forward[1]),
+                                      feature_jvp(v, stack, feature_forward(y, stack)[1]))
         assert (smoothed_value(y, stack, eps, forward=forward)
                 == smoothed_value(y, stack, eps))
         np.testing.assert_array_equal(
@@ -126,7 +127,7 @@ class TestFeatureExtractor:
         fminus, _ = feature_forward(y - h * v, stack)
         fd = (fplus - fminus) / (2 * h)
         _, slopes = feature_forward(y, stack)
-        np.testing.assert_allclose(feature_jvp(y, stack, v, slopes), fd, atol=1e-6)
+        np.testing.assert_allclose(feature_jvp(v, stack, slopes), fd, atol=1e-6)
 
 
 def _conv_layer_reference(h, w):
@@ -299,11 +300,18 @@ class TestSmoothedRegularizer:
 
 
 class TestLipschitzEstimate:
+    def test_power_iteration_near_the_float_limits(self):
+        # the squares of the entries overflow or underflow, the norm does not
+        assert power_iteration(lambda v: 1e300 * v, np.ones(4), 30) == 1e300
+        assert power_iteration(lambda v: 1e-170 * v, np.ones(4), 30) == 1e-170
+        assert power_iteration(lambda v: 1e-320 * v, np.ones(4), 30) == pytest.approx(
+            1e-320, rel=1e-2)  # subnormal
+
     def test_power_iteration_overflow_is_infinite(self):
-        # the first product's norm overflows; dividing by it would leave a
-        # vanished iterate, whose estimate would read 0
+        # the first product holds infinities; dividing by its norm would
+        # leave a vanished iterate, whose estimate would read 0
         with np.errstate(over="ignore"):
-            assert power_iteration(lambda v: 1e300 * v, np.ones(4), 30) == math.inf
+            assert power_iteration(lambda v: 1e308 * 10 * v, np.ones(4), 30) == math.inf
 
     def test_huge_weights_give_an_infinite_estimate(self):
         assert lipschitz_estimate(make_tv_weights(scale=1e160), (8, 8))(0.1) == math.inf
@@ -341,7 +349,7 @@ class TestLipschitzEstimate:
 class TestWeightIO:
     def test_roundtrip_exact(self, tmp_path):
         stack = make_random_weights(9, n_layers=3, n_channels=6)
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         save_weights(stack, path)
         loaded = load_weights(path)
         assert loaded.n_layers == stack.n_layers
@@ -349,24 +357,8 @@ class TestWeightIO:
         for a, b in zip(loaded.layers, stack.layers):
             np.testing.assert_array_equal(a, b)
 
-    def test_meta_sidecar_written(self, tmp_path):
-        import json
-        path = tmp_path / "w.bin"
-        save_weights(make_tv_weights(), path)
-        with open(str(path) + ".meta.json") as fh:
-            meta = json.load(fh)
-        assert meta["n_layers"] == 1
-        assert meta["layer_shapes"] == [[2, 1, 3, 3]]
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError) as exc:
-            load_weights(path)
-        assert exc.value.offset == 0
-
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         save_weights(make_tv_weights(), path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
@@ -384,16 +376,19 @@ class TestWeightIO:
 
 
 def save_unchecked(path, layers, delta=0.01):
-    """save_weights for layers and a delta that ConvStack would reject."""
-    save_weights(SimpleNamespace(layers=layers, activation_delta=delta,
-                                 n_layers=len(layers)), path)
+    """A weight file for layers and a delta that ConvStack would reject."""
+    save_array(path, np.concatenate([np.ravel(w) for w in layers] + [np.zeros(0)]),
+               {"kind": "weights", "layer_shapes": [list(np.shape(w)) for w in layers],
+                "activation_delta": delta})
 
 
-# A valid two-layer file: magic, then version and n_layers at byte 4 and 8,
-# delta at 12, the four shape fields of each layer from 20, the payload at 52.
-U32_FIELDS = [4, 8, *range(20, 52, 4)]
-U32 = st.one_of(st.sampled_from([0, 1, 2, 3, 2**16, 2**32 - 1]), st.integers(0, 2**32 - 1))
-FUZZ = settings(max_examples=200, deadline=None,
+# What a JSON sidecar can hold, weighted towards the edges of a layer shape
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.sampled_from([0, 1, 2, 3, -1, 2**16, 2**63, 2**64]), st.integers())
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=5),
+                           max_leaves=12)
+FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
@@ -403,45 +398,59 @@ class TestDamagedWeightFiles:
 
     @pytest.fixture
     def valid(self, tmp_path):
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         save_weights(make_random_weights(3, n_layers=2, n_channels=2), path)
-        return path, path.read_bytes()
+        return path, path.read_bytes(), Path(f"{path}.json").read_text()
 
     def test_truncated_at_every_offset(self, valid):
-        path, data = valid
+        path, data, text = valid
         for end in range(len(data)):
             path.write_bytes(data[:end])
+            with pytest.raises(FormatError):
+                load_weights(path)
+        path.write_bytes(data)
+        for end in range(len(text.rstrip())):  # every cut before the closing brace
+            Path(f"{path}.json").write_text(text[:end])
             with pytest.raises(FormatError):
                 load_weights(path)
 
     @FUZZ
     @given(tail=st.binary(min_size=1, max_size=40))
     def test_appended_bytes(self, valid, tail):
-        path, data = valid
+        path, data, _ = valid
         path.write_bytes(data + tail)
-        with pytest.raises(FormatError, match="after the payload"):
+        with pytest.raises(FormatError, match="does not match shape"):
             load_weights(path)
 
     @FUZZ
-    @given(patch=st.one_of(
-        st.tuples(st.sampled_from(U32_FIELDS), U32.map(lambda v: struct.pack("<I", v))),
-        st.tuples(st.just(12), st.floats().map(lambda v: struct.pack("<d", v)))))
-    def test_fuzzed_header_field(self, valid, patch):
-        path, data = valid
-        off, raw = patch
-        path.write_bytes(data[:off] + raw + data[off + len(raw):])
+    @given(field=st.sampled_from(["layer_shapes", "activation_delta", "shape"]),
+           value=JSON_VALUES, dim=st.none() | st.tuples(st.integers(0, 1), st.integers(0, 3)),
+           payload=st.none() | st.integers(0, 54 * 8 - 1) | st.binary(min_size=1, max_size=16))
+    def test_fuzzed_sidecar(self, valid, field, value, dim, payload):
+        # one field replaced, or one dimension of one layer shape; the
+        # payload kept, truncated to a byte count or extended by some bytes
+        path, data, text = valid
+        sidecar = json.loads(text)
+        if dim is None:
+            sidecar[field] = value
+        else:
+            sidecar["layer_shapes"][dim[0]][dim[1]] = value
+        Path(f"{path}.json").write_text(json.dumps(sidecar))
+        path.write_bytes(data if payload is None else data[:payload]
+                         if isinstance(payload, int) else data + payload)
         try:
-            load_weights(path)
-        except FormatError:
-            pass
+            assert isinstance(load_weights(path), ConvStack)
+        except FormatError as exc:
+            assert str(path) in str(exc)
 
     def test_overflowing_layer_shape(self, tmp_path):
         # 65536**4 elements wrap to 0 in int64 arithmetic
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         save_weights(make_tv_weights(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:20] + struct.pack("<4I", *(65536,) * 4) + data[36:])
-        with pytest.raises(FormatError, match="truncated payload"):
+        sidecar = Path(f"{path}.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "layer_shapes": [[65536] * 4]}))
+        with pytest.raises(FormatError, match=f"need {65536**4} values"):
             load_weights(path)
 
     @pytest.mark.parametrize("layers, delta, message", [
@@ -452,7 +461,7 @@ class TestDamagedWeightFiles:
         ((np.ones((0, 1, 3, 3)), np.ones((2, 0, 3, 3))), 0.01, "at least 1"),
     ])
     def test_rejected_stack_names_the_file(self, tmp_path, layers, delta, message):
-        path = tmp_path / "w.bin"
+        path = tmp_path / "w.f64"
         save_unchecked(path, layers, delta)
         with pytest.raises(FormatError, match=message) as exc:
             load_weights(path)

@@ -127,6 +127,20 @@ class TestStepMechanics:
         with pytest.raises(ConfigError, match="max_backtracks too small"):
             run(spec, init, params)
 
+    def test_backtrack_guard_checks_the_last_scheduled_eps(self):
+        # the default schedule halves eps from 0.1 and iterates at
+        # 0.1 * 0.5**10 = 9.765625e-05 before it stops, below eps_tol = 1e-4
+        lip = objective.LipschitzConstants(0.0, 0.0, 0.0, lambda eps: 207 / eps,
+                                           lambda eps: 0.0)
+        params = SolverParams(max_backtracks=20)
+        assert backtrack_bound(params, lip.composite(1e-4)) == 21
+        assert backtrack_bound(params, lip.composite(9.765625e-05)) == 22
+        solver._check_backtrack_budget(lip, replace(params, eps0=1e-4))
+        with pytest.raises(ConfigError, match=r"eps \(9.76563e-05\)"):
+            solver._check_backtrack_budget(lip, params)
+        # ten iterations reach eps 0.1 * 0.5**9 at the least
+        solver._check_backtrack_budget(lip, replace(params, max_iters=10))
+
     def test_backtrack_bound_monotone(self):
         params = SolverParams()
         bounds = [backtrack_bound(params, l) for l in (1.0, 10.0, 100.0, 1e4)]

@@ -518,7 +518,7 @@ class TestGeometryValidation:
         # refused before the default pitch or the angle step divides by it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="must be >= 1"):
+            with pytest.raises(ConfigError, match="must be at least 1"):
                 factory(n_views, n_dets, grid8)
 
     def test_system_matrix_cached(self, grid8):
