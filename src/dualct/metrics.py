@@ -84,6 +84,8 @@ def ssim(test, ref, data_range: float | None = None) -> float:
     r = _as_array(ref)
     if t.shape != r.shape:
         raise InputError("ssim inputs must share a shape")
+    if t.ndim != 2:
+        raise InputError(f"ssim needs 2-D images, got shape {t.shape}")
     if min(t.shape) < SSIM_WINDOW:
         raise InputError(f"ssim needs images of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     if data_range is None:

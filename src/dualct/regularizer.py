@@ -10,6 +10,7 @@ convolutions + activation slopes cached by the forward pass).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,24 @@ class ConvStack:
 
 WINDOW = 1 << 16  # doubles in one block of the im2col matrix (512 KiB)
 
+_scratch = threading.local()
+
+
+def _scratch_buffer(name: str, size: int) -> np.ndarray:
+    """``size`` doubles of a buffer kept per name and thread, grown as needed.
+
+    The conv layer's padded input, im2col block and block product live
+    here. glibc maps a large allocation afresh and unmaps it on free, unless
+    an earlier free raised its threshold, so a fresh buffer costs a page
+    fault per page touched: about 26k faults in the conv passes of a
+    128x128, 40-phase TV reconstruction.
+    """
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_scratch, name, buf)
+    return buf[:size]
+
 
 def _conv_layer(h, w):
     """Apply one layer: h (in_c, H, W) -> (out_c, H, W), zero "same" padding.
@@ -90,7 +109,9 @@ def _conv_layer(h, w):
     k = in_c*th*tw: each block's (k, block) im2col matrix is copied from a
     strided view of the buffer and multiplied by the (out_c, k) weights, so
     the scratch stays at WINDOW doubles whatever the field size. The sites
-    lie on (out_c, H, Wp) rows whose last kw - 1 columns are cropped.
+    lie on (out_c, H, Wp) rows whose last kw - 1 columns are cropped. The
+    padded buffer, the im2col block and the block product are reused from
+    call to call (:func:`_scratch_buffer`); only the output is new.
     ``np.dot``, not ``@``: numpy's matmul skips BLAS when k is 1.
     """
     out_c, in_c, kh, kw = w.shape
@@ -104,7 +125,8 @@ def _conv_layer(h, w):
     k = in_c * th * tw
     wp = cols + kw - 1
     n = rows * wp
-    hp = np.zeros((in_c, (rows + kh - 1) * wp + kw - 1))
+    hp = _scratch_buffer("padded", in_c * ((rows + kh - 1) * wp + kw - 1)).reshape(in_c, -1)
+    hp.fill(0.0)
     hp[:, :(rows + kh - 1) * wp].reshape(in_c, rows + kh - 1, wp)[
         :, kh // 2:kh // 2 + rows, kw // 2:kw // 2 + cols] = h
     # view[c, a, b, s] = hp[c, a0*Wp + b0 + a*Wp + b + s]. Its largest index,
@@ -116,13 +138,15 @@ def _conv_layer(h, w):
         strides=(hp.strides[0], wp * step, step, step), writeable=False)
     w_mat = w_box.reshape(out_c, k)
     block = min(n, max(1, WINDOW // k))
-    cols_buf = np.empty(k * block)
+    cols_buf = _scratch_buffer("im2col", k * block)
+    prod_buf = _scratch_buffer("product", out_c * block)
     out = np.empty((out_c, n))
     for s in range(0, n, block):
         size = min(block, n - s)
         patch = cols_buf[:k * size].reshape(k, size)
         patch.reshape(in_c, th, tw, size)[...] = view[..., s:s + size]
-        out[:, s:s + size] = np.dot(w_mat, patch)
+        prod = prod_buf[:out_c * size].reshape(out_c, size)
+        out[:, s:s + size] = np.dot(w_mat, patch, out=prod)
     return out.reshape(out_c, rows, wp)[:, :, :cols]
 
 

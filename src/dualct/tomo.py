@@ -345,23 +345,34 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     grid = geo.grid
-    n_rows = geo.n_views_full * geo.n_dets
-    t = (np.arange(geo.n_dets) - 0.5 * (geo.n_dets - 1)) * geo.det_spacing
-    # the index type scipy picks for this shape, so the COO arrays need no copy
-    fits_int32 = max(n_rows, grid.nx * grid.ny) <= np.iinfo(np.int32).max
+    n_dets = geo.n_dets
+    n_rows, n_pix = geo.n_views_full * n_dets, grid.nx * grid.ny
+    t = (np.arange(n_dets) - 0.5 * (n_dets - 1)) * geo.det_spacing
+    # a trace row holds nx + ny + 4 sorted parameters, so a ray has at most
+    # nx + ny + 3 chords; the pages past the chords written are never
+    # touched, so never resident
+    bound = n_rows * (grid.nx + grid.ny + 3)
+    fits_int32 = max(n_rows, n_pix, bound) <= np.iinfo(np.int32).max
     index_dtype = np.int32 if fits_int32 else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=index_dtype)
+    indices = np.empty(bound, dtype=index_dtype)
+    data = np.empty(bound)
 
-    rows, cols, vals = [], [], []
+    nnz = 0
     for v, theta in enumerate(geo.angles):
+        # chords come ordered by ray, so each view's are one stretch of rows
         ray, pix, ln = _trace_view(*_view_endpoints(geo, theta, t), grid)
-        rows.append((v * geo.n_dets + ray).astype(index_dtype))
-        cols.append(pix.astype(index_dtype))
-        vals.append(ln)
-    # one list at a time, so each list of pieces is freed once joined
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, grid.nx * grid.ny))
+        indices[nnz:nnz + ln.size] = pix
+        data[nnz:nnz + ln.size] = ln
+        nnz += ln.size
+        indptr[1 + v * n_dets:1 + (v + 1) * n_dets] = np.bincount(ray, minlength=n_dets)
+    np.cumsum(indptr, out=indptr)
+    # exact-size copies, one array at a time, so each oversized buffer is
+    # freed before the next is copied
+    indices = indices[:nnz].copy()
+    data = data[:nnz].copy()
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pix))
+    # in place: sorts each row's columns (and would add any repeated pixel)
     mat.sum_duplicates()
     return mat
 
@@ -400,9 +411,9 @@ def system_matrix_transpose(geo: ScanGeometry) -> sp.csr_matrix:
     product is a row gather rather than a column scatter.
 
     Built from the cached A on the first call for a geometry, never inside
-    the build of A, whose coordinate arrays would otherwise be alive at the
-    same time; evicted with A. Each output adds its terms in the same order
-    as the scatter product through A's column view, so the results are
+    the build of A, whose buffers would otherwise be alive at the same time;
+    evicted with A. Each output adds its terms in the same order as the
+    scatter product through A's column view, so the results are
     byte-identical to it.
     """
     return _operators(geo).at

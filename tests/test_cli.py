@@ -440,6 +440,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and message in err and "r.f64" in err
 
+    @pytest.mark.parametrize("shape", [(), (11, 11, 11)])
+    def test_metrics_not_2d(self, tmp_path, capsys, rng, shape):
+        for name in ("t.f64", "r.f64"):
+            io.save_array(tmp_path / name, rng.random(shape))
+        assert main(["metrics", "--test", str(tmp_path / "t.f64"),
+                     "--ref", str(tmp_path / "r.f64")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and f"needs 2-D images, got shape {shape}" in err
+        assert "r.f64" in err and "Traceback" not in err
+
+    def test_metrics_of_weight_file(self, tmp_path, capsys):
+        w = str(tmp_path / "w.f64")
+        assert main(["weights", "--kind", "random", "--out", w]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "--test", w, "--ref", w]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {w} vs {w}: ssim needs 2-D images")
+        assert "Traceback" not in err
+
 
 # Every key name the run-config schema knows, in any section or variant.
 KNOWN_KEYS = {

@@ -55,6 +55,11 @@ class TestSSIM:
         with pytest.raises(InputError):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
+    @pytest.mark.parametrize("shape", [(), (121,), (11, 11, 11)])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(InputError, match="needs 2-D images"):
+            ssim(np.zeros(shape), np.zeros(shape))
+
     @pytest.mark.skipif(sk_ssim is None, reason="scikit-image not installed")
     def test_matches_scikit_image(self, rng):
         a = rng.random((32, 32))

@@ -231,6 +231,13 @@ class TestTransposedConv:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_scratch_reused_after_a_larger_call(self, rng):
+        # the larger field leaves its values where the smaller one's padding goes
+        w = rng.standard_normal((2, 3, 5, 3))
+        regularizer._conv_layer(rng.standard_normal((3, 40, 30)), w)
+        h = rng.standard_normal((3, 9, 17))
+        assert_matches_reference(regularizer._conv_layer(h, w), h, w, _conv_layer_reference)
+
     @pytest.mark.parametrize("taps", [
         (slice(0, 1), slice(0, 1)), (slice(3, 5), slice(4, 7)),  # corners
         (slice(2, 3), slice(None)), (slice(4, 5), slice(1, 6)),  # one row

@@ -1,9 +1,15 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +120,43 @@ def small_geometries(draw):
     return geo
 
 
+def _coo_build_oracle(geo):
+    """The system matrix assembled through coordinates: row, column and
+    value lists joined, then scipy's COO-to-CSR conversion."""
+    t = (np.arange(geo.n_dets) - 0.5 * (geo.n_dets - 1)) * geo.det_spacing
+    rows, cols, vals = [], [], []
+    for v, theta in enumerate(geo.angles):
+        ray, pix, ln = tomo._trace_view(*tomo._view_endpoints(geo, theta, t), geo.grid)
+        rows.append(v * geo.n_dets + ray)
+        cols.append(pix)
+        vals.append(ln)
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(geo.n_views_full * geo.n_dets, geo.grid.nx * geo.grid.ny))
+    mat.sum_duplicates()
+    return mat
+
+
+# Builds the 128x128, 180-view, 185-detector matrix of the benchmark's CLI
+# pipeline in a fresh interpreter and prints A's bytes, the peak resident
+# growth during the build and the resident growth left after it.
+_BUILD_MEMORY_PROBE = """
+import json, resource
+import scipy.sparse  # loaded before the first reading: its import is not the build's
+from dualct.tomo import GridSpec, parallel_geometry, system_matrix
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * resource.getpagesize()
+
+geo = parallel_geometry(180, 185, GridSpec(128, 128, 2.0 / 128))
+before = resident()
+a = system_matrix(geo)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+print(json.dumps({"a": a.data.nbytes + a.indices.nbytes + a.indptr.nbytes,
+                  "peak": peak - before, "after": resident() - before}))
+"""
+
+
 class TestSystemMatrix:
     @settings(max_examples=60, deadline=None)
     @given(small_geometries())
@@ -159,6 +202,38 @@ class TestSystemMatrix:
         got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                for a in (mat.indptr, mat.indices, mat.data)]
         assert got == expected
+
+    @staticmethod
+    def _assert_matches_coo_build(geo):
+        mat, oracle = system_matrix(geo), _coo_build_oracle(geo)
+        for got, want in ((mat.indptr, oracle.indptr), (mat.indices, oracle.indices),
+                          (mat.data, oracle.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert np.diff(mat.indptr).max() <= geo.grid.nx + geo.grid.ny + 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_geometries())
+    def test_matches_coo_build(self, geo):
+        self._assert_matches_coo_build(geo)
+
+    @pytest.mark.parametrize("name", ["rect_offset_wide", "grid1x1"])
+    def test_matches_coo_build_pinned(self, name):
+        self._assert_matches_coo_build(self.PINNED[name][0]())
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm for the resident size")
+    def test_build_memory(self):
+        src = str(Path(tomo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _BUILD_MEMORY_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        # the build holds A and little else at its peak, and frees all but A
+        assert got["peak"] <= 2.5 * got["a"], got
+        assert got["after"] <= 1.2 * got["a"], got
 
     @pytest.mark.parametrize("name", ["fan", "grid1x1", "rect_offset_wide", "tv64"])
     def test_transpose_products_match_scatter_bytes(self, name, rng):
