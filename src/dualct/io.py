@@ -70,9 +70,22 @@ def save_image(path, img: Image) -> None:
 
 
 def load_image(path, grid: GridSpec) -> Image:
+    """An image of ``grid``; a sidecar that records a ``pixel_size`` or an
+    ``origin`` must record the grid's, so an image left from another grid
+    is refused rather than reused."""
     values, sidecar = load_array(path)
     if tuple(sidecar["shape"]) != grid.shape:
-        raise FormatError(f"image shape {sidecar['shape']} does not match grid")
+        raise FormatError(f"{path}: image shape {sidecar['shape']} does not match grid")
+    for key, read, want in (("pixel_size", config_float, grid.pixel_size),
+                            ("origin", list_of(config_float, 2), grid.origin)):
+        if key in sidecar:
+            try:
+                got = read(sidecar[key], key)
+            except ConfigError as exc:
+                raise FormatError(f"bad sidecar {path}.json: {exc}") from None
+            if got != want:
+                raise FormatError(f"{path} is an image with {key} {got}, "
+                                  f"the grid has {want}")
     return Image(grid, values)
 
 

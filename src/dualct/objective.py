@@ -17,8 +17,7 @@ import numpy as np
 
 from . import regularizer as reg
 from .errors import ConfigError, NumericalError, config_float, read_fields
-from .tomo import (Image, ScanGeometry, Sinogram, ViewMask, system_matrix,
-                   system_matrix_transpose)
+from .tomo import Image, ScanGeometry, Sinogram, ViewMask, system_matrix
 
 @dataclass
 class DualState:
@@ -69,8 +68,9 @@ class ProblemSpec:
         return (system_matrix(self.geometry) @ x.ravel()).reshape(self.sino_shape())
 
     def backproject(self, r: np.ndarray) -> np.ndarray:
-        """A^T r as an image array."""
-        return (system_matrix_transpose(self.geometry) @ r.ravel()).reshape(
+        """A^T r as an image array, through the transpose view of the one
+        cached A."""
+        return (system_matrix(self.geometry).T @ r.ravel()).reshape(
             self.geometry.grid.shape)
 
 

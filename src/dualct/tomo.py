@@ -9,7 +9,7 @@ transpose of the forward projector by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -377,22 +377,9 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     return mat
 
 
-class _Operators:
-    """The projector of one geometry: A, built on construction, and A^T,
-    built from it on the first adjoint product."""
-
-    def __init__(self, geo: ScanGeometry):
-        self.a = _build_system_matrix(geo)
-
-    @cached_property
-    def at(self) -> sp.csr_matrix:
-        return self.a.T.tocsr()
-
-
-# Operators of the most recently used geometries; at 128^2 with 180 views A
-# takes about 46 MB, and A^T as much again once built, so a process
-# sweeping geometries keeps only a few.
-_operators = lru_cache(maxsize=4)(_Operators)
+# A of the most recently used geometries; at 128^2 with 180 views each
+# takes about 46 MB, so a process sweeping geometries keeps only a few.
+_cached_system_matrix = lru_cache(maxsize=4)(_build_system_matrix)
 
 
 def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
@@ -400,23 +387,11 @@ def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
     one ray through the center of each detector bin.
 
     All rays of a view are traced in one vectorized pass. Cached per
-    geometry; the cache keeps the operators of the 4 most recently used
-    geometries.
+    geometry; the cache keeps the matrices of the 4 most recently used
+    geometries. The adjoint is ``system_matrix(geo).T``, scipy's CSC view
+    of the same arrays, so no second copy is ever built.
     """
-    return _operators(geo).a
-
-
-def system_matrix_transpose(geo: ScanGeometry) -> sp.csr_matrix:
-    """A^T of :func:`system_matrix` as its own CSR matrix, so each adjoint
-    product is a row gather rather than a column scatter.
-
-    Built from the cached A on the first call for a geometry, never inside
-    the build of A, whose buffers would otherwise be alive at the same time;
-    evicted with A. Each output adds its terms in the same order as the
-    scatter product through A's column view, so the results are
-    byte-identical to it.
-    """
-    return _operators(geo).at
+    return _cached_system_matrix(geo)
 
 
 def forward_project(img: Image, geo: ScanGeometry) -> Sinogram:
@@ -435,7 +410,7 @@ def back_project(sino: Sinogram, geo: ScanGeometry) -> Image:
     """
     if sino.geometry != geo:
         raise ConfigError("sinogram geometry does not match")
-    vals = system_matrix_transpose(geo) @ zero_fill_views(sino).values.ravel()
+    vals = system_matrix(geo).T @ zero_fill_views(sino).values.ravel()
     return Image(geo.grid, vals.reshape(geo.grid.shape))
 
 

@@ -223,6 +223,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg)]) == EXIT_IO
 
+    def test_image_from_another_grid_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate", "init"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        grid = {"nx": 16, "ny": 16, "pixel_size": 1.0}
+        cfg = write_config(tmp_path, geometry={**base_config(tmp_path)["geometry"], "grid": grid})
+        capsys.readouterr()
+        for cmd, name in (("simulate", "phantom.f64"), ("reconstruct", "x0.f64")):
+            assert main([cmd, "--config", str(cfg)]) == EXIT_IO, cmd
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and name in err and "pixel_size 0.125" in err
+        assert not (tmp_path / "out" / "recon.f64").exists()
+
     def test_unknown_solver_knob(self, tmp_path):
         cfg = write_config(tmp_path, solver={"bogus": 1})
         assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG

@@ -70,6 +70,30 @@ class TestRawArrays:
         with pytest.raises(FormatError):
             io.load_image(path, GridSpec(5, 5, 0.5))
 
+    @pytest.mark.parametrize("key, other", [("pixel_size", GridSpec(6, 4, 1.0)),
+                                            ("origin", GridSpec(6, 4, 0.5, (0.0, 0.25)))],
+                             ids=["pixel_size", "origin"])
+    def test_image_from_another_grid(self, tmp_path, rng, key, other):
+        path = tmp_path / "img.f64"
+        io.save_image(path, Image(GridSpec(6, 4, 0.5), rng.random((4, 6))))
+        with pytest.raises(FormatError, match=f"img.f64 is an image with {key}"):
+            io.load_image(path, other)
+
+    @pytest.mark.parametrize("meta", [{"pixel_size": "wide"}, {"pixel_size": None},
+                                      {"pixel_size": True}, {"origin": [0.0]},
+                                      {"origin": [0.0, "a"]}])
+    def test_image_grid_keys_malformed(self, tmp_path, rng, meta):
+        path = tmp_path / "img.f64"
+        io.save_array(path, rng.random((4, 6)), {"kind": "image", **meta})
+        with pytest.raises(FormatError, match=r"bad sidecar .*img\.f64\.json"):
+            io.load_image(path, GridSpec(6, 4, 0.5))
+
+    def test_image_sidecar_without_grid_keys(self, tmp_path, rng):
+        path = tmp_path / "img.f64"
+        values = rng.random((4, 6))
+        io.save_array(path, values)
+        np.testing.assert_array_equal(io.load_image(path, GridSpec(6, 4, 0.5)).values, values)
+
     def test_sinogram_roundtrip_sparse(self, tmp_path, rng):
         geo = parallel_geometry(10, 7, GridSpec(8, 8, 1.0))
         idx = uniform_mask(10, 5).indices()

@@ -159,7 +159,6 @@ class TestLipschitz:
         spec, _ = _make_problem(rng)
         zero = sp.csr_matrix(system_matrix(spec.geometry).shape)
         monkeypatch.setattr(objective, "system_matrix", lambda geo: zero)
-        monkeypatch.setattr(objective, "system_matrix_transpose", lambda geo: zero.T.tocsr())
         assert block_lipschitz(spec)[1] == 0.0
 
     def test_full_hessian_matches_dense(self, rng):

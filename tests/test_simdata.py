@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dualct import tomo
 from dualct.errors import ConfigError
 from dualct.simdata import (DISK_DEFAULT, SHEPP_LOGAN_MODIFIED, NoiseSpec,
                             PhantomSpec, apply_noise, initialize, make_phantom,
@@ -129,14 +128,6 @@ class TestSimulateAndInitialize:
         assert s.values.shape == (4, geo.n_dets)
         assert z_true.values.shape == (geo.n_views_full, geo.n_dets)
         np.testing.assert_array_equal(s.values, z_true.values[mask.indices()])
-
-    def test_simulation_builds_no_transpose(self):
-        tomo._operators.cache_clear()
-        _, geo = _sino()
-        disk = make_phantom(PhantomSpec("disk", geo.grid))
-        simulate_measurement(disk, geo, uniform_mask(geo.n_views_full, 4))
-        assert tomo._operators.cache_info().currsize == 1
-        assert "at" not in vars(tomo._operators(geo))
 
     def test_initialize_anchors_and_nonnegativity(self):
         _, geo = _sino(grid_n=16, n_views=16, n_dets=17)

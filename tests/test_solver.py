@@ -19,8 +19,7 @@ from dualct.solver import (BRANCH_BCD, BRANCH_EDC, CSV_COLUMNS, IterateLog,
                            bcd_safeguard, candidate_step, edc_check,
                            resolve_steps, run, smoothing_update)
 from dualct.tomo import (GridSpec, Image, Sinogram, forward_project,
-                         parallel_geometry, subsample_views, system_matrix,
-                         system_matrix_transpose, uniform_mask)
+                         parallel_geometry, subsample_views, system_matrix, uniform_mask)
 
 
 def _problem(rng, n=12, n_views=18, n_dets=13, n_keep=6, tv_scale=0.02, lam=10.0):
@@ -320,7 +319,8 @@ class TestExtrapolation:
 
 
 class _CountingMatrix:
-    """Sparse-matrix proxy that counts its products under ``key``."""
+    """Sparse-matrix proxy that counts its products under ``key``, and
+    those through its transpose under ``"AT"``."""
 
     def __init__(self, mat, counts, key):
         self._mat, self._counts, self._key = mat, counts, key
@@ -328,6 +328,10 @@ class _CountingMatrix:
     def __matmul__(self, other):
         self._counts[self._key] += 1
         return self._mat @ other
+
+    @property
+    def T(self):
+        return _CountingMatrix(self._mat.T, self._counts, "AT")
 
     def __getattr__(self, attr):
         return getattr(self._mat, attr)
@@ -338,8 +342,6 @@ class TestOperatorCounts:
         counts = {"A": 0, "AT": 0}
         monkeypatch.setattr(objective, "system_matrix",
                             lambda geo: _CountingMatrix(system_matrix(geo), counts, "A"))
-        monkeypatch.setattr(objective, "system_matrix_transpose",
-                            lambda geo: _CountingMatrix(system_matrix_transpose(geo), counts, "AT"))
         marks = []
         step = solver.candidate_step
 

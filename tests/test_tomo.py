@@ -20,8 +20,8 @@ from dualct.simdata import PhantomSpec, make_phantom
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, ScanGeometry,
                          Sinogram, ViewMask, back_project, fan_geometry,
                          fbp_reconstruct, forward_project, parallel_geometry,
-                         subsample_views, system_matrix, system_matrix_transpose,
-                         uniform_mask, upsample_sinogram_linear, zero_fill_views)
+                         subsample_views, system_matrix, uniform_mask,
+                         upsample_sinogram_linear, zero_fill_views)
 
 
 # ---------------------------------------------------------------------------
@@ -235,34 +235,21 @@ class TestSystemMatrix:
         assert got["peak"] <= 2.5 * got["a"], got
         assert got["after"] <= 1.2 * got["a"], got
 
-    @pytest.mark.parametrize("name", ["fan", "grid1x1", "rect_offset_wide", "tv64"])
-    def test_transpose_products_match_scatter_bytes(self, name, rng):
-        geo = self.PINNED[name][0]()
-        mat = system_matrix(geo)
-        r = rng.standard_normal(mat.shape[0])
-        assert (system_matrix_transpose(geo) @ r).tobytes() == (mat.T @ r).tobytes()
-
     def test_cache_evicts_least_recently_used(self, grid8):
-        tomo._operators.cache_clear()
+        tomo._cached_system_matrix.cache_clear()
         size = 4
-        assert tomo._operators.cache_info().maxsize == size
+        assert tomo._cached_system_matrix.cache_info().maxsize == size
         geos = [parallel_geometry(3 + k, 5, grid8) for k in range(size + 1)]
         mats = [system_matrix(geo) for geo in geos[:-1]]
-        transposes = [system_matrix_transpose(geo) for geo in geos[:-1]]
-        assert system_matrix_transpose(geos[0]) is transposes[0]  # built once
-        assert system_matrix(geos[0]) is mats[0]  # now the most recently used
+        assert system_matrix(geos[0]) is mats[0]  # built once, now the most recently used
         system_matrix(geos[-1])
-        assert tomo._operators.cache_info().currsize == size
+        assert tomo._cached_system_matrix.cache_info().currsize == size
         assert system_matrix(geos[0]) is mats[0]
-        assert system_matrix_transpose(geos[0]) is transposes[0]
-        # geos[1] was evicted, its transpose with it
+        # geos[1] was evicted
         rebuilt = system_matrix(geos[1])
         assert rebuilt is not mats[1]
         assert (rebuilt != mats[1]).nnz == 0
-        rebuilt_t = system_matrix_transpose(geos[1])
-        assert rebuilt_t is not transposes[1]
-        assert (rebuilt_t != transposes[1]).nnz == 0
-        assert tomo._operators.cache_info().currsize == size
+        assert tomo._cached_system_matrix.cache_info().currsize == size
 
 
 class TestForwardProject:
