@@ -63,41 +63,64 @@ def load_array(path):
     return values, sidecar
 
 
-def save_image(path, img: Image) -> None:
-    save_array(path, img.values, {"kind": "image",
-                                  "pixel_size": img.grid.pixel_size,
-                                  "origin": list(img.grid.origin)})
+def _recorded_grid(grid: GridSpec) -> dict:
+    """What an image's sidecar records of its grid: key -> (reader, value)."""
+    return {"pixel_size": (config_float, grid.pixel_size),
+            "origin": (list_of(config_float, 2), grid.origin)}
 
 
-def load_image(path, grid: GridSpec) -> Image:
-    """An image of ``grid``; a sidecar that records a ``pixel_size`` or an
-    ``origin`` must record the grid's, so an image left from another grid
-    is refused rather than reused."""
-    values, sidecar = load_array(path)
-    if tuple(sidecar["shape"]) != grid.shape:
-        raise FormatError(f"{path}: image shape {sidecar['shape']} does not match grid")
-    for key, read, want in (("pixel_size", config_float, grid.pixel_size),
-                            ("origin", list_of(config_float, 2), grid.origin)):
+def _recorded_geometry(geo: ScanGeometry) -> dict:
+    """What a sinogram's sidecar records of its geometry, as above."""
+    return {**_recorded_grid(geo.grid), "det_spacing": (config_float, geo.det_spacing),
+            "n_views_full": (config_int, geo.n_views_full)}
+
+
+def _record(recorded: dict) -> dict:
+    return {key: value for key, (_, value) in recorded.items()}
+
+
+def _check_recorded(path, sidecar: dict, what: str, owner: str, recorded: dict) -> None:
+    """Refuses a file whose sidecar records another value of a key of
+    ``recorded`` than the one wanted, so a file left from another grid or
+    geometry is refused rather than reused. A sidecar without a key, as
+    older files are, passes on it."""
+    for key, (read, want) in recorded.items():
         if key in sidecar:
             try:
                 got = read(sidecar[key], key)
             except ConfigError as exc:
                 raise FormatError(f"bad sidecar {path}.json: {exc}") from None
             if got != want:
-                raise FormatError(f"{path} is an image with {key} {got}, "
-                                  f"the grid has {want}")
+                raise FormatError(f"{path} is {what} with {key} {got}, {owner} has {want}")
+
+
+def save_image(path, img: Image) -> None:
+    save_array(path, img.values, {"kind": "image", **_record(_recorded_grid(img.grid))})
+
+
+def load_image(path, grid: GridSpec) -> Image:
+    """An image of ``grid``; a sidecar that records a ``pixel_size`` or an
+    ``origin`` must record the grid's."""
+    values, sidecar = load_array(path)
+    if tuple(sidecar["shape"]) != grid.shape:
+        raise FormatError(f"{path}: image shape {sidecar['shape']} does not match grid")
+    _check_recorded(path, sidecar, "an image", "the grid", _recorded_grid(grid))
     return Image(grid, values)
 
 
 def save_sinogram(path, sino: Sinogram) -> None:
     save_array(path, sino.values, {"kind": "sinogram",
-                                   "view_indices": [int(i) for i in sino.view_indices]})
+                                   "view_indices": [int(i) for i in sino.view_indices],
+                                   **_record(_recorded_geometry(sino.geometry))})
 
 
 def load_sinogram(path, geo: ScanGeometry) -> Sinogram:
     """One row of ``geo.n_dets`` values per view the sidecar's ``view_indices``
-    names; without them the rows are views 0, 1, ..."""
+    names; without them the rows are views 0, 1, ... A sidecar that records
+    a ``det_spacing``, ``n_views_full``, ``pixel_size`` or ``origin`` must
+    record the geometry's."""
     values, sidecar = load_array(path)
+    _check_recorded(path, sidecar, "a sinogram", "the geometry", _recorded_geometry(geo))
     n_rows = values.size // geo.n_dets
     try:
         idx = list_of(config_int)(sidecar.get("view_indices", list(range(n_rows))), "view_indices")

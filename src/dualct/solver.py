@@ -175,13 +175,13 @@ def candidate_step(point: Point, steps: StepSizes, eps: float) -> Point:
     return Point(point.spec, u_x, u_z)
 
 
-def extrapolate(point: Point, prev: Point, theta: float) -> Point:
-    """The point p + theta (p - prev); its Ax combines the two known ones,
-    so it applies no operator."""
-    def ahead(now, before):
-        return now + theta * (now - before)
-    return Point(point.spec, ahead(point.x, prev.x), ahead(point.z, prev.z),
-                 ahead(point.ax, prev.ax))
+def extrapolate(point: Point, prev: tuple, theta: float) -> Point:
+    """The point p + theta (p - prev), with ``prev`` the previous iterate's
+    (x, z, Ax); its Ax combines the two known ones, so it applies no
+    operator."""
+    x, z, ax = (now + theta * (now - before)
+                for now, before in zip((point.x, point.z, point.ax), prev))
+    return Point(point.spec, x, z, ax)
 
 
 def edc_check(point: Point, candidate: Point, params: SolverParams,
@@ -294,7 +294,9 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
     # Every iteration needs the gradient at its start point (EDC bound or
     # safeguard z-step); later start points keep it from the smoothing update.
     point.grad(eps)
-    prev, t = point, 1.0
+    # of the previous iterate only what extrapolation reads, not its
+    # features and gradients
+    prev, t = (point.x, point.z, point.ax), 1.0
 
     for k in range(params.max_iters):
         try:
@@ -320,7 +322,7 @@ def run(spec: ProblemSpec, init: DualState, params: SolverParams):
             grad_norm=gnorm, branch=branch, backtracks=backtracks,
             alpha_used=a_used, beta_used=b_used,
             eps_reduced=eps_next != eps))
-        prev, point = point, new
+        prev, point = (point.x, point.z, point.ax), new
         if eps <= params.eps_tol and eps_next != eps:
             break
         if eps_next != eps:

@@ -220,14 +220,26 @@ class ViewMask:
     selected: tuple[int, ...]
 
     def __post_init__(self):
-        read_fields(self, n_views_full=config_int, selected=list_of(config_int))
+        read_fields(self, n_views_full=config_int)
         s = self.selected
+        if not isinstance(s, (list, tuple)):
+            raise ConfigError(f"selected must be a list, got {s!r}")
+        # config_int's rule, tested once per distinct type instead of per index
+        bad = sorted(t.__name__ for t in set(map(type, s))
+                     if t is bool or not issubclass(t, Integral))
+        if bad:
+            raise ConfigError(f"selected must be a list of integers, got {', '.join(bad)}")
         if not s:
             raise ConfigError("view mask must select at least one view")
-        if any(b <= a for a, b in zip(s, s[1:])):
+        try:
+            idx = np.asarray(s, dtype=np.int64)
+        except OverflowError:
+            raise ConfigError("mask index out of range") from None
+        if np.any(idx[1:] <= idx[:-1]):
             raise ConfigError("mask indices must be sorted and unique")
-        if s[0] < 0 or s[-1] >= self.n_views_full:
+        if idx[0] < 0 or idx[-1] >= self.n_views_full:
             raise ConfigError("mask index out of range")
+        object.__setattr__(self, "selected", tuple(idx.tolist()))
 
     @property
     def n_selected(self) -> int:
@@ -367,10 +379,10 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
         nnz += ln.size
         indptr[1 + v * n_dets:1 + (v + 1) * n_dets] = np.bincount(ray, minlength=n_dets)
     np.cumsum(indptr, out=indptr)
-    # exact-size copies, one array at a time, so each oversized buffer is
-    # freed before the next is copied
-    indices = indices[:nnz].copy()
-    data = data[:nnz].copy()
+    # shrunk in place to the chords written, so nothing is copied; the
+    # default refcheck refuses the resize while any view of a buffer lives
+    indices.resize(nnz)
+    data.resize(nnz)
     mat = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pix))
     # in place: sorts each row's columns (and would add any repeated pixel)
     mat.sum_duplicates()

@@ -230,11 +230,29 @@ class TestExitCodes:
         grid = {"nx": 16, "ny": 16, "pixel_size": 1.0}
         cfg = write_config(tmp_path, geometry={**base_config(tmp_path)["geometry"], "grid": grid})
         capsys.readouterr()
-        for cmd, name in (("simulate", "phantom.f64"), ("reconstruct", "x0.f64")):
-            assert main([cmd, "--config", str(cfg)]) == EXIT_IO, cmd
+        # reconstruct would refuse the old measured.f64 before x0.f64, so a
+        # measurement of the new grid is made once the old phantom is refused
+        for cmds, name in ((["simulate"], "phantom.f64"),
+                           (["phantom", "simulate", "reconstruct"], "x0.f64")):
+            for cmd in cmds[:-1]:
+                assert main([cmd, "--config", str(cfg)]) == 0, cmd
+            assert main([cmds[-1], "--config", str(cfg)]) == EXIT_IO, cmds[-1]
             err = capsys.readouterr().err
             assert err.startswith("i/o error: ") and name in err and "pixel_size 0.125" in err
         assert not (tmp_path / "out" / "recon.f64").exists()
+
+    def test_measurement_from_another_grid_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate", "init"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        x0 = (tmp_path / "out" / "x0.f64").read_bytes()
+        grid = {"nx": 16, "ny": 16, "pixel_size": 1.0}
+        cfg = write_config(tmp_path, geometry={**base_config(tmp_path)["geometry"], "grid": grid})
+        capsys.readouterr()
+        assert main(["init", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "measured.f64 is a sinogram" in err
+        assert (tmp_path / "out" / "x0.f64").read_bytes() == x0
 
     def test_unknown_solver_knob(self, tmp_path):
         cfg = write_config(tmp_path, solver={"bogus": 1})

@@ -104,6 +104,35 @@ class TestRawArrays:
         np.testing.assert_array_equal(loaded.values, sino.values)
         np.testing.assert_array_equal(loaded.view_indices, idx)
 
+    @pytest.mark.parametrize("key, other", [
+        ("pixel_size", parallel_geometry(10, 7, GridSpec(8, 8, 0.5), det_spacing=1.5)),
+        ("origin", parallel_geometry(10, 7, GridSpec(8, 8, 1.0, (0.5, 0.0)), det_spacing=1.5)),
+        ("det_spacing", parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=2.0)),
+        ("n_views_full", parallel_geometry(12, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)),
+    ], ids=["pixel_size", "origin", "det_spacing", "n_views_full"])
+    def test_sinogram_from_another_geometry(self, tmp_path, rng, key, other):
+        geo = parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)
+        path = tmp_path / "s.f64"
+        io.save_sinogram(path, Sinogram(geo, [0, 4, 8], rng.random((3, 7))))
+        with pytest.raises(FormatError, match=f"s.f64 is a sinogram with {key}"):
+            io.load_sinogram(path, other)
+
+    @pytest.mark.parametrize("meta", [{"det_spacing": "wide"}, {"det_spacing": None},
+                                      {"n_views_full": 10.0}, {"n_views_full": True},
+                                      {"pixel_size": "wide"}, {"origin": [0.0]}])
+    def test_sinogram_geometry_keys_malformed(self, tmp_path, rng, meta):
+        path = tmp_path / "s.f64"
+        io.save_array(path, rng.random((10, 7)), {"kind": "sinogram", **meta})
+        with pytest.raises(FormatError, match=r"bad sidecar .*s\.f64\.json"):
+            io.load_sinogram(path, parallel_geometry(10, 7, GridSpec(8, 8, 1.0)))
+
+    def test_sinogram_sidecar_without_geometry_keys(self, tmp_path, rng):
+        path = tmp_path / "s.f64"
+        values = rng.random((3, 7))
+        io.save_array(path, values, {"kind": "sinogram", "view_indices": [0, 4, 8]})
+        loaded = io.load_sinogram(path, parallel_geometry(10, 7, GridSpec(8, 8, 1.0)))
+        np.testing.assert_array_equal(loaded.values, values)
+
     @pytest.mark.parametrize("shape", [[0, 10**30], [0] * 70])
     def test_empty_payload_of_impossible_shape(self, tmp_path, shape):
         path = tmp_path / "a.f64"
