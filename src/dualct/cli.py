@@ -21,7 +21,8 @@ from .errors import ConfigError, FormatError, InputError, NumericalError, Solver
 from .objective import DualState, ProblemSpec
 from .simdata import initialize, make_phantom, simulate_measurement
 from .solver import run as solver_run
-from .tomo import Sinogram, fbp_reconstruct, zero_fill_views
+from .tomo import (Sinogram, fbp_reconstruct, seed_system_matrix, system_matrix,
+                   zero_fill_views)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -52,13 +53,14 @@ class _Setup:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def write_manifest(self, command):
+    def write_manifest(self, command, **extra):
         manifest = {
             "command": command,
             "config": str(self.config_path),
             "config_sha256": io.config_hash(self.config_path),
             "noise_seed": self.noise.seed,
             **_numeric_environment(),
+            **extra,
         }
         with open(self.out(f"manifest_{command}.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -93,6 +95,21 @@ def _load_sparse(setup: _Setup) -> Sinogram:
     return sparse
 
 
+def _load_system_matrix(setup: _Setup) -> str | None:
+    """Seeds the projector cache with the A that ``simulate`` saved; the
+    file it came from, or None when A is to be traced. A file that is
+    refused is named in one line on stderr."""
+    path = setup.out(io.SYSTEM_MATRIX_FILE)
+    if not path.exists():
+        return None
+    try:
+        arrays = io.load_system_matrix(path, setup.geometry)
+    except (FormatError, OSError) as exc:
+        print(f"system matrix traced again: {exc}", file=sys.stderr)
+        return None
+    return str(path) if seed_system_matrix(setup.geometry, *arrays) else None
+
+
 def cmd_phantom(setup: _Setup) -> str:
     img = make_phantom(setup.phantom)
     io.save_image(setup.out("phantom.f64"), img)
@@ -105,6 +122,8 @@ def cmd_simulate(setup: _Setup) -> str:
     s, z_true = simulate_measurement(img, setup.geometry, setup.mask, setup.noise)
     io.save_sinogram(setup.out("measured.f64"), s)
     io.save_sinogram(setup.out("sino_full.f64"), z_true)
+    io.save_system_matrix(setup.out(io.SYSTEM_MATRIX_FILE), setup.geometry,
+                          system_matrix(setup.geometry))
     return (f"simulated {s.n_views}/{setup.geometry.n_views_full} views "
             f"x {setup.geometry.n_dets} dets (noise: {setup.noise.model})")
 
@@ -126,6 +145,7 @@ def cmd_fbp(setup: _Setup, window="ram-lak") -> str:
 
 def cmd_reconstruct(setup: _Setup) -> str:
     measured = _load_sparse(setup)
+    loaded_from = _load_system_matrix(setup)
     x0_path = setup.out("x0.f64")
     if x0_path.exists():
         state0 = DualState(io.load_image(x0_path, setup.geometry.grid),
@@ -147,7 +167,9 @@ def cmd_reconstruct(setup: _Setup) -> str:
     io.save_sinogram(setup.out("recon_sino.f64"), final.z)
     log.write_csv(setup.out("iterations.csv"))
     log.write_json(setup.out("iterations.json"))
-    setup.write_manifest("reconstruct")
+    setup.write_manifest("reconstruct", system_matrix={
+        "source": "loaded" if loaded_from else "built", "file": loaded_from,
+        "threads": system_matrix(setup.geometry).threads})
     last = log.records[-1] if log.records else None
     tail = (f"{len(log)} iters, final grad {last.grad_norm:.3e}, eps {last.eps:.3e}"
             if last else "0 iters")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,6 +156,92 @@ def load_weights(path) -> ConvStack:
                          sidecar.get("activation_delta"))
     except ConfigError as exc:
         raise FormatError(f"bad weight file {path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# The system matrix
+# ---------------------------------------------------------------------------
+
+# what `dualct simulate` saves A in, for `dualct reconstruct` to load
+SYSTEM_MATRIX_FILE = "system_matrix.bin"
+# bumped whenever the trace's bytes change, so older files are rebuilt
+SYSTEM_MATRIX_FORMAT = 1
+_CSR_ARRAYS = ("indptr", "indices", "data")
+
+
+def _matrix_record(geo: ScanGeometry) -> dict:
+    """Everything of ``geo`` that A depends on, as its sidecar records it."""
+    grid = geo.grid
+    angles = hashlib.sha256(geo.angles_array().astype("<f8").tobytes()).hexdigest()
+    return {"kind": geo.kind, "angles_sha256": angles,
+            "n_dets": geo.n_dets, "det_spacing": geo.det_spacing,
+            "source_radius": geo.source_radius, "nx": grid.nx, "ny": grid.ny,
+            "pixel_size": grid.pixel_size, "origin": list(grid.origin)}
+
+
+def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
+    """A's CSR arrays (indptr, indices, data), raw little-endian and back to
+    back, with a JSON sidecar of their dtypes, the shape, nnz and the
+    geometry. Both go through temporary files and ``os.replace``, the old
+    sidecar is removed first and the new one written last, so a file is
+    never paired with another's sidecar. The arrays are written from where
+    they lie, not copied."""
+    path = Path(path)
+    sidecar_path = Path(str(path) + ".json")
+    arrays = [np.asarray(getattr(mat, name)) for name in _CSR_ARRAYS]
+    arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in arrays]
+    sidecar = {"format": SYSTEM_MATRIX_FORMAT, "shape": list(mat.shape), "nnz": int(mat.nnz),
+               "dtypes": {name: a.dtype.str for name, a in zip(_CSR_ARRAYS, arrays)},
+               "geometry": _matrix_record(geo)}
+    tmp = Path(str(path) + ".tmp")
+    with open(tmp, "wb") as fh:
+        for a in arrays:
+            a.tofile(fh)
+    sidecar_path.unlink(missing_ok=True)
+    os.replace(tmp, path)
+    with open(tmp, "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, sidecar_path)
+
+
+def load_system_matrix(path, geo: ScanGeometry):
+    """(indptr, indices, data) of A of ``geo`` from a file that
+    :func:`save_system_matrix` wrote. A FormatError names the file when its
+    sidecar is malformed or of another format or geometry, when
+    the payload has another size, or when the arrays are not a CSR
+    structure of A's shape: indptr from 0 to nnz and never decreasing,
+    indices in ``[0, nx*ny)``, data finite and nonnegative."""
+    path = Path(path)
+    n_rows, n_cols = geo.n_views_full * geo.n_dets, geo.grid.nx * geo.grid.ny
+    try:
+        with open(str(path) + ".json") as fh:
+            sidecar = json.load(fh)
+        nnz = config_int(sidecar.get("nnz"), "nnz")
+        dtypes = [np.dtype(sidecar["dtypes"][name]) for name in _CSR_ARRAYS]
+    except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:
+        raise FormatError(f"bad sidecar {path}.json: {exc}") from None
+    if (sidecar.get("format") != SYSTEM_MATRIX_FORMAT
+            or sidecar.get("geometry") != _matrix_record(geo)):
+        raise FormatError(f"{path} holds A of another geometry or format")
+    if (sidecar.get("shape") != [n_rows, n_cols] or nnz < 0
+            or [d.str for d in dtypes[:2]] not in (["<i4", "<i4"], ["<i8", "<i8"])
+            or dtypes[2].str != "<f8"):
+        raise FormatError(f"bad sidecar {path}.json: shape, nnz or dtypes")
+    counts = (n_rows + 1, nnz, nnz)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != sum(d.itemsize * n for d, n in zip(dtypes, counts)):
+            raise FormatError(f"{path}: payload size {size} does not match its sidecar")
+        indptr, indices, data = (np.fromfile(fh, dtype=d, count=n)
+                                 for d, n in zip(dtypes, counts))
+    if not (indptr[0] == 0 and indptr[-1] == nnz and np.all(indptr[1:] >= indptr[:-1])):
+        raise FormatError(f"{path}: indptr is not a CSR row pointer")
+    if nnz and not (indices.min() >= 0 and indices.max() < n_cols):
+        raise FormatError(f"{path}: a column index is off the grid")
+    if nnz and not (data.min() >= 0 and np.isfinite(data.max())):
+        raise FormatError(f"{path}: chord lengths must be finite and nonnegative")
+    return indptr, indices, data
 
 
 def export_pgm(path, values: np.ndarray) -> None:

@@ -19,7 +19,7 @@ from .errors import (ConfigError, InputError, config_count, config_float, config
                      instance_of, list_of, read_fields)
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
+    from .rowsplit import ProjectorMatrix
 
 PARALLEL = "parallel"
 FAN = "fan"
@@ -351,11 +351,8 @@ def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
     return np.repeat(rays, n_seg)[ok], iy[ok] * grid.nx + ix[ok], lengths[ok]
 
 
-def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
-    # imported here: loading scipy.sparse is a large share of a CLI
-    # command's start-up, and most commands never build a matrix
-    import scipy.sparse as sp
-
+def _trace_system_matrix(geo: ScanGeometry):
+    """A's CSR arrays (indptr, indices, data), row by row as traced."""
     grid = geo.grid
     n_dets = geo.n_dets
     n_rows, n_pix = geo.n_views_full * n_dets, grid.nx * grid.ny
@@ -380,13 +377,31 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
         indptr[1 + v * n_dets:1 + (v + 1) * n_dets] = np.bincount(ray, minlength=n_dets)
     np.cumsum(indptr, out=indptr)
     # shrunk in place to the chords written, so nothing is copied; the
-    # default refcheck refuses the resize while any view of a buffer lives
-    indices.resize(nnz)
-    data.resize(nnz)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pix))
-    # in place: sorts each row's columns (and would add any repeated pixel)
-    mat.sum_duplicates()
-    return mat
+    # default refcheck refuses the resize while any view of a buffer lives.
+    # Each buffer is resized through its bound method alone: a tracer or
+    # profiler holds a reference to the frame's locals, or to the callee
+    # of a C call, and refcheck would count it as well
+    resizes = (indices.resize, data.resize)
+    del indices, data
+    for resize in resizes:
+        resize(nnz)
+    indices, data = (resize.__self__ for resize in resizes)
+    return indptr, indices, data
+
+
+# CSR arrays that seed_system_matrix hands to the cache; empty between calls
+_seeds: dict = {}
+
+
+def _build_system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
+    # imported here: loading scipy.sparse is a large share of a CLI
+    # command's start-up, and most commands never build a matrix
+    from .rowsplit import projector_matrix
+
+    arrays = _seeds.pop(geo, None)
+    indptr, indices, data = _trace_system_matrix(geo) if arrays is None else arrays
+    return projector_matrix(data, indices, indptr,
+                            (geo.n_views_full * geo.n_dets, geo.grid.nx * geo.grid.ny))
 
 
 # A of the most recently used geometries; at 128^2 with 180 views each
@@ -394,16 +409,32 @@ def _build_system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
 _cached_system_matrix = lru_cache(maxsize=4)(_build_system_matrix)
 
 
-def system_matrix(geo: ScanGeometry) -> sp.csr_matrix:
+def system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
     """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths,
     one ray through the center of each detector bin.
 
     All rays of a view are traced in one vectorized pass. Cached per
     geometry; the cache keeps the matrices of the 4 most recently used
-    geometries. The adjoint is ``system_matrix(geo).T``, scipy's CSC view
-    of the same arrays, so no second copy is ever built.
+    geometries. The adjoint is ``system_matrix(geo).T``, a CSC view of the
+    same arrays built once with the matrix, so no second copy is ever
+    built. From ``rowsplit.SPLIT_NNZ`` nonzeros each product on a vector
+    runs by row halves on two threads (see :mod:`dualct.rowsplit`).
     """
     return _cached_system_matrix(geo)
+
+
+def seed_system_matrix(geo: ScanGeometry, indptr: np.ndarray, indices: np.ndarray,
+                       data: np.ndarray) -> bool:
+    """Puts A of ``geo``, as these CSR arrays, into the cache instead of
+    tracing it; the caller has checked their structure, as
+    ``io.load_system_matrix`` does. False, and the arrays are dropped,
+    when the cache holds A of ``geo`` already."""
+    _seeds[geo] = (indptr, indices, data)
+    try:
+        _cached_system_matrix(geo)
+        return geo not in _seeds
+    finally:
+        _seeds.clear()
 
 
 def forward_project(img: Image, geo: ScanGeometry) -> Sinogram:

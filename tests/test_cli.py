@@ -16,7 +16,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import io
+from dualct import io, rowsplit, tomo
 from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
 from dualct.metrics import psnr
@@ -158,6 +158,79 @@ assert "dualct.io" not in sys.modules and "yaml" not in sys.modules, sorted(sys.
         assert main(["phantom", "--config", str(cfg)]) == 0
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert main(["fbp", "--config", str(cfg), "--window", "hann"]) == 0
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _other_det_spacing(path):
+    sidecar = json.loads(Path(f"{path}.json").read_text())
+    sidecar["geometry"]["det_spacing"] *= 1.5
+    Path(f"{path}.json").write_text(json.dumps(sidecar))
+
+
+def _index_off_grid(path):
+    sidecar = json.loads(Path(f"{path}.json").read_text())
+    assert sidecar["dtypes"]["indptr"] == sidecar["dtypes"]["indices"] == "<i4"
+    n_rows, n_pix = sidecar["shape"]
+    raw = bytearray(path.read_bytes())
+    first = (n_rows + 1) * 4  # the first column index, after indptr
+    raw[first:first + 4] = np.int32(n_pix).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestSystemMatrixFile:
+    """``simulate`` saves A; ``reconstruct`` loads it, or traces A again
+    when the file is missing or refused, with the same outputs."""
+
+    OUTPUTS = ("recon.f64", "iterations.csv", "iterations.json")
+
+    @pytest.fixture
+    def simulated(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate", "init"):
+            assert main([cmd, "--config", str(cfg)]) == 0
+        return cfg, tmp_path / "out" / io.SYSTEM_MATRIX_FILE
+
+    def _reconstruct(self, cfg, capsys):
+        """Outputs, the manifest's ``system_matrix`` and stderr of a
+        reconstruct run with an empty matrix cache, as in a new process."""
+        tomo._cached_system_matrix.cache_clear()
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg)]) == 0
+        out = cfg.parent / "out"
+        manifest = json.loads((out / "manifest_reconstruct.json").read_text())
+        return ({name: (out / name).read_bytes() for name in self.OUTPUTS},
+                manifest["system_matrix"], capsys.readouterr().err)
+
+    def test_same_outputs_with_and_without_the_file(self, simulated, capsys):
+        cfg, path = simulated
+        loaded, how, err = self._reconstruct(cfg, capsys)
+        assert how == {"source": "loaded", "file": str(path), "threads": 1}
+        assert err == ""
+        path.unlink()
+        Path(f"{path}.json").unlink()
+        built, how, err = self._reconstruct(cfg, capsys)
+        assert how == {"source": "built", "file": None, "threads": 1}
+        assert err == ""
+        assert built == loaded
+
+    @pytest.mark.parametrize("damage", [_truncate, _other_det_spacing, _index_off_grid])
+    def test_refused_file_is_traced_again(self, simulated, capsys, damage):
+        cfg, path = simulated
+        want, _, _ = self._reconstruct(cfg, capsys)
+        damage(path)
+        got, how, err = self._reconstruct(cfg, capsys)
+        assert got == want
+        assert how == {"source": "built", "file": None, "threads": 1}
+        assert len(err.splitlines()) == 1 and str(path) in err
+
+    def test_threads_of_a_split_projector(self, simulated, capsys, monkeypatch):
+        monkeypatch.setattr(rowsplit, "SPLIT_NNZ", 0)
+        _, how, _ = self._reconstruct(simulated[0], capsys)
+        assert how["threads"] == rowsplit.projector_threads()
+        tomo._cached_system_matrix.cache_clear()
 
 
 class TestWeightsCommand:

@@ -1,17 +1,19 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dualct import io
+from dualct import io, tomo
 from dualct.errors import ConfigError, FormatError, InputError
 from dualct.regularizer import make_random_weights, make_tv_weights
 from dualct.solver import SolverParams
 from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram,
-                         parallel_geometry, uniform_mask)
+                         parallel_geometry, system_matrix, uniform_mask)
 
 
 class TestRawArrays:
@@ -191,6 +193,101 @@ class TestFuzzedSinogramSidecar:
             return
         assert sino.values.shape == (sino.n_views, 7)
         assert 0 <= sino.view_indices[0] and sino.view_indices[-1] < 10
+
+
+def _poke(name, at, value):
+    """A damage that sets entry ``at`` of the matrix file's array ``name``
+    to ``value``, or to ``value(array)`` when it is callable."""
+    def damage(path, sidecar):
+        names = ("indptr", "indices", "data")
+        counts = (sidecar["shape"][0] + 1, sidecar["nnz"], sidecar["nnz"])
+        with open(path, "rb") as fh:
+            arrays = {n: np.fromfile(fh, dtype=sidecar["dtypes"][n], count=c)
+                      for n, c in zip(names, counts)}
+        arrays[name][at] = value(arrays[name]) if callable(value) else value
+        with open(path, "wb") as fh:
+            for n in names:
+                arrays[n].tofile(fh)
+    return damage
+
+
+def _edit_sidecar(edit):
+    def damage(path, sidecar):
+        edit(sidecar)
+        Path(f"{path}.json").write_text(json.dumps(sidecar))
+    return damage
+
+
+class TestSystemMatrixFile:
+    @pytest.fixture
+    def saved(self, tmp_path, par16):
+        path = tmp_path / io.SYSTEM_MATRIX_FILE
+        io.save_system_matrix(path, par16, system_matrix(par16))
+        return path, par16
+
+    def test_roundtrip_bitwise(self, saved):
+        path, geo = saved
+        built = system_matrix(geo)
+        loaded = io.load_system_matrix(path, geo)
+        for got, want in zip(loaded, (built.indptr, built.indices, built.data)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_seeds_the_cache(self, saved):
+        path, geo = saved
+        built = tomo._build_system_matrix(geo)
+        tomo._cached_system_matrix.cache_clear()
+        assert tomo.seed_system_matrix(geo, *io.load_system_matrix(path, geo))
+        mat = system_matrix(geo)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(mat, name).tobytes() == getattr(built, name).tobytes()
+        # A of a cached geometry is kept
+        assert not tomo.seed_system_matrix(geo, *io.load_system_matrix(path, geo))
+        assert system_matrix(geo) is mat
+
+    @pytest.mark.parametrize("field, value", [
+        ("det_spacing", 0.5), ("n_dets", 21), ("angles", tuple(np.arange(18) * 0.1)),
+        ("source_radius", 30.0)])
+    def test_another_geometry_refused(self, saved, field, value):
+        path, geo = saved
+        other = replace(geo, **{field: value})
+        with pytest.raises(FormatError, match="another geometry or format"):
+            io.load_system_matrix(path, other)
+
+    @pytest.mark.parametrize("damage, message", [
+        (_edit_sidecar(lambda s: s["geometry"].update(det_spacing=0.5)), "another geometry"),
+        (_edit_sidecar(lambda s: s.update(format=0)), "another geometry or format"),
+        (_edit_sidecar(lambda s: s.update(nnz=s["nnz"] - 1)), "payload size"),
+        (_edit_sidecar(lambda s: s["dtypes"].update(data="<f4")), "dtypes"),
+        (_edit_sidecar(lambda s: s["dtypes"].update(indices="<i8")), "dtypes"),
+        (_edit_sidecar(lambda s: s.update(shape=[360, 255])), "shape"),
+        (_edit_sidecar(lambda s: s.pop("dtypes")), "bad sidecar"),
+        (lambda path, s: Path(f"{path}.json").write_text("{not json"), "bad sidecar"),
+        (lambda path, s: Path(f"{path}.json").write_text("[]"), "bad sidecar"),
+        (lambda path, s: path.write_bytes(path.read_bytes()[:-8]), "payload size"),
+        (lambda path, s: path.write_bytes(path.read_bytes() + bytes(8)), "payload size"),
+        (_poke("indices", 5, 2**31 - 1), "off the grid"),
+        (_poke("indices", 0, 256), "off the grid"),
+        (_poke("indices", -1, -1), "off the grid"),
+        (_poke("indptr", 0, 1), "row pointer"),
+        (_poke("indptr", 3, lambda p: p[2] - 1), "row pointer"),
+        (_poke("indptr", -1, lambda p: p[-1] - 1), "row pointer"),
+        (_poke("data", 7, np.nan), "finite and nonnegative"),
+        (_poke("data", 7, np.inf), "finite and nonnegative"),
+        (_poke("data", 7, -0.5), "finite and nonnegative"),
+    ])
+    def test_damaged_file_refused(self, saved, damage, message):
+        path, geo = saved
+        damage(path, json.loads(Path(f"{path}.json").read_text()))
+        with pytest.raises(FormatError, match=message) as err:
+            io.load_system_matrix(path, geo)
+        assert str(path) in str(err.value)
+
+    def test_missing_sidecar(self, saved):
+        path, geo = saved
+        Path(f"{path}.json").unlink()
+        with pytest.raises(FileNotFoundError):
+            io.load_system_matrix(path, geo)
 
 
 class TestPGM:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import tomo
+from dualct import rowsplit, tomo
 from dualct.errors import ConfigError, InputError
 from dualct.metrics import psnr
 from dualct.simdata import PhantomSpec, make_phantom
@@ -205,6 +206,21 @@ class TestSystemMatrix:
                for a in (mat.indptr, mat.indices, mat.data)]
         assert got == expected
 
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_bytes_under_a_profiler(self, name):
+        make_geo, *expected = self.PINNED[name]
+        geo = make_geo()
+        # a Python-level profile hook holds the frame's locals, which the
+        # in-place shrink's refcheck must not count
+        sys.setprofile(lambda *args: None)
+        try:
+            mat = tomo._build_system_matrix(geo)
+        finally:
+            sys.setprofile(None)
+        got = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+               for a in (mat.indptr, mat.indices, mat.data)]
+        assert got == expected
+
     @staticmethod
     def _assert_matches_coo_build(geo):
         mat, oracle = system_matrix(geo), _coo_build_oracle(geo)
@@ -253,6 +269,105 @@ class TestSystemMatrix:
         assert rebuilt is not mats[1]
         assert (rebuilt != mats[1]).nnz == 0
         assert tomo._cached_system_matrix.cache_info().currsize == size
+
+
+def _split_products(mat, x, r, one_cpu):
+    """``(A x, A^T r)`` bytes, whether a pool exists and A's thread count,
+    in a process limited to one CPU if ``one_cpu``."""
+    if one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    fwd, adj = mat @ x, mat.T @ r
+    return fwd.tobytes(), adj.tobytes(), rowsplit._pool is not None, mat.threads
+
+
+def _child(conn, *args):
+    conn.send(_split_products(*args))
+    conn.close()
+
+
+def _in_forked_child(*args, timeout=30.0):
+    """:func:`_split_products` run in a "fork" child, which must finish
+    within ``timeout`` seconds."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child, args=(send, *args))
+    proc.start()
+    try:
+        assert recv.poll(timeout), "the child computed no product in time"
+        got = recv.recv()
+        proc.join(timeout)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        proc.kill()
+        proc.join()
+        recv.close()
+        send.close()
+    return got
+
+
+class TestRowSplit:
+    """Products of a matrix split by row halves, forced on a 16^2 geometry."""
+
+    @pytest.fixture(params=["parallel", "fan"])
+    def split(self, request, monkeypatch, par16, fan16):
+        monkeypatch.setattr(rowsplit, "SPLIT_NNZ", 0)
+        geo = par16 if request.param == "parallel" else fan16
+        mat = tomo._build_system_matrix(geo)
+        plain = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        return geo, mat, plain
+
+    def test_halves_are_views(self, split):
+        _, mat, plain = split
+        top, bottom = mat._halves
+        assert top.shape[0] + bottom.shape[0] == mat.shape[0]
+        assert abs(top.nnz - bottom.nnz) <= mat.shape[1]
+        for half in (top, bottom):
+            for name in ("data", "indices"):
+                assert np.shares_memory(getattr(half, name), getattr(mat, name))
+        assert np.shares_memory(top.indptr, mat.indptr)
+        assert isinstance(mat, sp.csr_matrix) and mat.T is mat.T
+        assert (mat != plain).nnz == 0
+        np.testing.assert_array_equal(mat.toarray(), plain.toarray())
+
+    def test_forward_bytes_and_adjoint_match_unsplit(self, split, rng):
+        _, mat, plain = split
+        for _ in range(10):
+            x = rng.standard_normal(mat.shape[1])
+            r = rng.random(mat.shape[0])  # nonnegative: no cancellation
+            assert (mat @ x).tobytes() == (plain @ x).tobytes()
+            np.testing.assert_allclose(mat.T @ r, plain.T @ r, rtol=1e-15, atol=0)
+
+    def test_adjoint_identity(self, split, rng):
+        geo, mat, _ = split
+        for _ in range(100):
+            x = rng.standard_normal(mat.shape[1])
+            z = rng.standard_normal(mat.shape[0])
+            ax = mat @ x
+            denom = np.linalg.norm(ax) * np.linalg.norm(z)
+            assert abs(np.dot(ax, z) - np.dot(x, mat.T @ z)) <= 1e-12 * denom
+
+    def test_threshold_leaves_small_matrices_whole(self, par16):
+        mat = tomo._build_system_matrix(par16)
+        assert mat.nnz < rowsplit.SPLIT_NNZ and mat._halves is None and mat.threads == 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_one_cpu_gives_the_same_bytes(self, split, rng):
+        _, mat, _ = split
+        x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+        fwd, adj, _, threads = _split_products(mat, x, r, one_cpu=False)
+        assert threads == rowsplit.projector_threads()
+        # a fresh fork has no pool: with one CPU the caller runs both halves
+        assert _in_forked_child(mat, x, r, True) == (fwd, adj, False, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_fork_after_the_pool_ran(self, split, rng):
+        _, mat, _ = split
+        x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+        want = _split_products(mat, x, r, one_cpu=False)
+        assert want[2] == (rowsplit.projector_threads() == 2)
+        assert _in_forked_child(mat, x, r, False) == want
 
 
 class TestForwardProject:
