@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
+from .lanes import usable_cpus
 from .objective import DualState, ProblemSpec
 from .simdata import initialize, make_phantom, simulate_measurement
 from .solver import run as solver_run
@@ -83,7 +84,7 @@ def _numeric_environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": usable_cpus(),
     }
 
 

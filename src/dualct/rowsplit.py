@@ -1,5 +1,5 @@
 """The projector's matrix type: a CSR matrix whose products on a vector
-run as two row halves, on two threads when the process may use two CPUs.
+run as two row halves, on the two lanes of :mod:`dualct.lanes`.
 
 A sparse product on one vector is a single-threaded, memory-bound loop,
 so a large ``A`` splits its rows into two fixed halves of about equal
@@ -15,52 +15,14 @@ is split and every product is scipy's own.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import scipy.sparse as sp
+
+from .lanes import both, lane_count
 
 # nonzeros from which products are split: at 64^2 (0.49M) a split adjoint
 # took 0.74 ms against 0.56, at 128^2 (3.84M) 4.2 against 7.1
 SPLIT_NNZ = 1_000_000
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a forked child has no pool thread, but the pool would believe its
-    # idle thread alive and never run a task
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def projector_threads() -> int:
-    """Threads a split product runs on: 2 when this process may use two
-    CPUs or more, else 1."""
-    return 2 if len(os.sched_getaffinity(0)) >= 2 else 1
-
-
-def _both(first, second):
-    """``(first(), second())``; ``second`` runs on the pool's thread while
-    the caller runs ``first`` when there are two threads."""
-    global _pool
-    if projector_threads() < 2:
-        return first(), second()
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dualct-rows")
-        later = _pool.submit(second)
-    try:
-        done = first()
-    finally:
-        other = later.result()
-    return done, other
 
 
 def _is_vector(other, n: int) -> bool:
@@ -79,7 +41,7 @@ class ProjectorMatrix(sp.csr_matrix):
     @property
     def threads(self) -> int:
         """Threads a product on a vector runs on."""
-        return 1 if self._halves is None else projector_threads()
+        return 1 if self._halves is None else lane_count()
 
     def transpose(self, axes=None, copy=False):
         if self._t is None or axes is not None or copy:
@@ -90,7 +52,7 @@ class ProjectorMatrix(sp.csr_matrix):
         if self._halves is None or not _is_vector(other, self.shape[1]):
             return super().__matmul__(other)
         top, bottom = self._halves
-        return np.concatenate(_both(lambda: top @ other, lambda: bottom @ other))
+        return np.concatenate(both(lambda: top @ other, lambda: bottom @ other))
 
 
 class _ProjectorTranspose(sp.csc_matrix):
@@ -103,7 +65,7 @@ class _ProjectorTranspose(sp.csc_matrix):
             return super().__matmul__(other)
         top, bottom = self._halves
         cut = top.shape[1]
-        first, second = _both(lambda: top @ other[:cut], lambda: bottom @ other[cut:])
+        first, second = both(lambda: top @ other[:cut], lambda: bottom @ other[cut:])
         first += second
         return first
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 
 import numpy as np
@@ -43,3 +44,28 @@ def fan16(grid16):
 
 def random_image(grid, rng):
     return Image(grid, rng.standard_normal(grid.shape))
+
+
+def _send_result(conn, target, args):
+    conn.send(target(*args))
+    conn.close()
+
+
+def in_forked_child(target, *args, timeout=30.0):
+    """``target(*args)`` run in a "fork" child, which must finish within
+    ``timeout`` seconds; returns what it returned."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_result, args=(send, target, args))
+    proc.start()
+    try:
+        assert recv.poll(timeout), "the child returned nothing in time"
+        got = recv.recv()
+        proc.join(timeout)
+        assert not proc.is_alive() and proc.exitcode == 0
+    finally:
+        proc.kill()
+        proc.join()
+        recv.close()
+        send.close()
+    return got

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import io, rowsplit, tomo
+from dualct import io, lanes, rowsplit, tomo
 from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
 from dualct.metrics import psnr
@@ -112,6 +112,24 @@ import dualct
 assert "dualct.io" not in sys.modules and "yaml" not in sys.modules, sorted(sys.modules)
 """
         run_fresh(script)
+
+    def test_import_loads_neither_scipy_nor_a_thread_pool(self):
+        script = """
+import sys
+import dualct
+loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")]
+assert not loaded, loaded
+"""
+        run_fresh(script)
+
+    def test_manifest_without_cpu_affinity(self, tmp_path, monkeypatch):
+        # platforms such as macOS have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate", "reconstruct"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        with open(tmp_path / "out" / "manifest_reconstruct.json") as fh:
+            assert json.load(fh)["nproc"] == os.cpu_count()
 
     def test_manifest_contents(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -229,7 +247,7 @@ class TestSystemMatrixFile:
     def test_threads_of_a_split_projector(self, simulated, capsys, monkeypatch):
         monkeypatch.setattr(rowsplit, "SPLIT_NNZ", 0)
         _, how, _ = self._reconstruct(simulated[0], capsys)
-        assert how["threads"] == rowsplit.projector_threads()
+        assert how["threads"] == lanes.lane_count()
         tomo._cached_system_matrix.cache_clear()
 
 

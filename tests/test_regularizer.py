@@ -1,15 +1,19 @@
 import json
 import math
+import os
+import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import in_forked_child
 from dualct.errors import ConfigError, FormatError
-from dualct import regularizer
+from dualct import lanes, regularizer
 from dualct.io import load_weights, save_array, save_weights
 from dualct.regularizer import (ConvStack, feature_forward,
                                 feature_jvp, feature_vjp, l21_norm,
@@ -275,6 +279,88 @@ class TestTransposedConv:
             assert not np.any(got)
 
 
+def _conv_bytes(h, g, w):
+    return (regularizer._conv_layer(h, w).tobytes(),
+            regularizer._conv_layer_adjoint(g, w).tobytes())
+
+
+def _one_cpu_conv_bytes(h, g, w):
+    """:func:`_conv_bytes`, lane count and whether a pool exists, in a
+    process limited to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return _conv_bytes(h, g, w), lanes.lane_count(), lanes._pool is not None
+
+
+# (out_c, in_c, kh, kw) and field; the forward and the adjoint pass each take
+# two or more site blocks, the last one partial
+SPLIT_LAYERS = [((8, 8, 3, 15), (90, 47)),  # cnn32's hidden sinogram layer
+                ((4, 3, 5, 3), (120, 90)),
+                ((1, 8, 3, 15), (90, 47))]
+
+
+class TestLanes:
+    """Site blocks split between the caller and the pool thread, forced by a
+    zero threshold: the bytes are those of one lane."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape, field", SPLIT_LAYERS)
+    def test_split_gives_the_bytes_of_one_lane(self, rng, monkeypatch, shape, field, dtype):
+        w = rng.standard_normal(shape).astype(dtype)
+        h = rng.standard_normal((shape[1],) + field).astype(dtype)
+        g = rng.standard_normal((shape[0],) + field).astype(dtype)
+        whole = _conv_bytes(h, g, w)
+        calls = []
+
+        def counted(first, second):
+            calls.append(threading.current_thread())
+            return lanes.both(first, second)
+
+        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
+        monkeypatch.setattr(regularizer, "both", counted)
+        assert _conv_bytes(h, g, w) == whole
+        assert len(calls) == 2  # the forward pass and the adjoint each split
+        assert lanes._pool is not None or lanes.lane_count() == 1
+
+    def test_threshold_leaves_small_layers_whole(self, rng, monkeypatch):
+        monkeypatch.setattr(regularizer, "both", None)  # a split would fail
+        tv = make_tv_weights().layers[0]
+        regularizer._conv_layer(rng.standard_normal((1, 180, 185)), tv)
+        regularizer._conv_layer_adjoint(rng.standard_normal((2, 180, 185)), tv)
+        regularizer._conv_layer(rng.standard_normal((8, 32, 32)),
+                                rng.standard_normal((8, 8, 3, 3)))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_one_cpu_gives_the_same_bytes(self, rng, monkeypatch):
+        (shape, field), = SPLIT_LAYERS[:1]
+        w = rng.standard_normal(shape)
+        h = rng.standard_normal((shape[1],) + field)
+        g = rng.standard_normal((shape[0],) + field)
+        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
+        want = _conv_bytes(h, g, w)
+        # a fresh fork has no pool: with one CPU the caller runs both parts
+        assert in_forked_child(_one_cpu_conv_bytes, h, g, w) == (want, 1, False)
+
+    def test_split_from_the_pool_thread_runs_inline(self, rng, monkeypatch):
+        (shape, field), = SPLIT_LAYERS[:1]
+        w = rng.standard_normal(shape)
+        h = rng.standard_normal((shape[1],) + field)
+        want = regularizer._conv_layer(h, w).tobytes()
+        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
+        got = {}
+
+        def nested():
+            got["thread"] = threading.current_thread()
+            got["bytes"] = regularizer._conv_layer(h, w).tobytes()
+
+        outer = threading.Thread(target=lanes.both, args=(lambda: None, nested), daemon=True)
+        outer.start()
+        outer.join(30.0)
+        assert not outer.is_alive(), "a split made from the pool thread did not return"
+        assert got["bytes"] == want
+        assert (got["thread"] is outer) == (lanes.lane_count() == 1)
+
+
 class TestSmoothedRegularizer:
     def test_gap_bound(self, rng):
         stack = make_random_weights(7, n_layers=2, n_channels=5)
@@ -351,6 +437,62 @@ class TestLipschitzEstimate:
             dg = np.linalg.norm(smoothed_grad(y1, stack, eps)
                                 - smoothed_grad(y2, stack, eps))
             assert dg <= lip * np.linalg.norm(y1 - y2) * (1 + 1e-9)
+
+
+def _float64_jacobian_norm_sq(stack, probe_shape):
+    """M^2 as 30 float64 power steps over the layers as they are, from the
+    probe and start that :func:`lipschitz_estimate` draws."""
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(probe_shape)
+    _, slopes = feature_forward(y, stack)
+    return power_iteration(
+        lambda v: feature_vjp(y, stack, feature_jvp(v, stack, slopes), slopes),
+        rng.standard_normal(probe_shape), 30)
+
+
+def _estimated_norm_sq(stack, probe_shape):
+    """M^2 of :func:`lipschitz_estimate`, which is sqrt(m)*L_g + M^2/eps."""
+    bound = lipschitz_estimate(stack, probe_shape)
+    return bound(0.5) - bound(1.0)
+
+
+FLOAT32_STACKS = [(make_tv_weights(), (32, 32)),
+                  (make_random_weights(3, n_layers=3, n_channels=4, kernel=(3, 3)), (24, 20)),
+                  (make_random_weights(4, n_layers=3, n_channels=4, kernel=(3, 15)), (30, 47)),
+                  (make_random_weights(5, n_layers=2, n_channels=6, kernel=(5, 3)), (21, 18))]
+
+
+class TestFloat32PowerIteration:
+    """The Jacobian norm from float32 steps on unit-norm layers, against a
+    float64 run of the same 30 steps."""
+
+    @pytest.mark.parametrize("stack, probe_shape", FLOAT32_STACKS)
+    def test_matches_float64_steps(self, stack, probe_shape):
+        want = _float64_jacobian_norm_sq(stack, probe_shape)
+        assert _estimated_norm_sq(stack, probe_shape) == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("stack, probe_shape", FLOAT32_STACKS[1:])
+    def test_large_weights_stay_finite(self, stack, probe_shape):
+        big = ConvStack(tuple(w * 1e15 for w in stack.layers), stack.activation_delta)
+        want = _float64_jacobian_norm_sq(big, probe_shape)
+        assert math.isfinite(want)
+        assert _estimated_norm_sq(big, probe_shape) == pytest.approx(want, rel=1e-5)
+        # the same steps in float32 without the normalization overflow
+        as_float32 = SimpleNamespace(layers=tuple(w.astype(np.float32) for w in big.layers))
+        y = np.random.default_rng(0).standard_normal(probe_shape)
+        slopes = [s.astype(np.float32) for s in feature_forward(y, big)[1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert power_iteration(
+                lambda v: feature_vjp(y, as_float32, feature_jvp(v, as_float32, slopes), slopes),
+                np.ones(probe_shape, np.float32), 30) == math.inf
+
+    @pytest.mark.parametrize("zero_at", [0, 1, 2])
+    def test_zero_layer_gives_zero(self, zero_at):
+        layers = list(make_random_weights(6, n_layers=3, n_channels=4).layers)
+        layers[zero_at] = np.zeros_like(layers[zero_at])
+        assert lipschitz_estimate(ConvStack(tuple(layers)), (12, 12))(0.1) == 0.0
+        tv_zero = make_tv_weights(scale=0.0)
+        assert lipschitz_estimate(tv_zero, (12, 12))(0.1) == 0.0
 
 
 class TestWeightIO:

@@ -470,12 +470,12 @@ class TestPinnedOutputs:
     """
 
     PINS = {
-        "tv": ("cdb357ba0f5e706cab3f3c03e594abc91171d81b7d86cf716f3b06871c12f477",
-               "6f649e820d7898df41a947124ac28233385c5498cc67afaa1b17e636c05a53b9",
-               "3e5ea9547860785325e675d45c0c53084a982b06e2d21123412fdde944abca20"),
-        "random": ("9ec57c5bb8bdea8d2af1c384d5ab1f4e21640cad98a78b24fd85c133349426b3",
-                   "9828d667eba1510a0aa81fe41674d243dc9e77907deee478e106ab5629e798ed",
-                   "8ba0a5c5d88f0f0a0c566827e0defccb410906b220b03a88669918bd38ab43bd"),
+        "tv": ("ed7ce91431e8d0b686b3259374799ca62e64aff9464020e52c2b9c74ccdf326d",
+               "19ae3397b8f73523b5c303965bfb1ce8eb5c13185567b444cfc9c37886b0bba5",
+               "e05ec5b3a77294f79bbbda6185961ac472ce66a3af804ceb97b61ac7179270e7"),
+        "random": ("aeb6651b6d0e96e2dee53d44685fc6fb741bd9d162d7b99c861b682b8f1b83db",
+                   "c3af86c1fe5816bea30d0f772f0280d5c00b0a621ff26375ec40aa92fb681714",
+                   "4b90a5a3e716769b6432ff0f70277c242404aaf3e8df9f5567c629c168e3065c"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINS))

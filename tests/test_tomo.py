@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +13,8 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import rowsplit, tomo
+from conftest import in_forked_child
+from dualct import lanes, rowsplit, tomo
 from dualct.errors import ConfigError, InputError
 from dualct.metrics import psnr
 from dualct.simdata import PhantomSpec, make_phantom
@@ -277,32 +277,7 @@ def _split_products(mat, x, r, one_cpu):
     if one_cpu:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     fwd, adj = mat @ x, mat.T @ r
-    return fwd.tobytes(), adj.tobytes(), rowsplit._pool is not None, mat.threads
-
-
-def _child(conn, *args):
-    conn.send(_split_products(*args))
-    conn.close()
-
-
-def _in_forked_child(*args, timeout=30.0):
-    """:func:`_split_products` run in a "fork" child, which must finish
-    within ``timeout`` seconds."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_child, args=(send, *args))
-    proc.start()
-    try:
-        assert recv.poll(timeout), "the child computed no product in time"
-        got = recv.recv()
-        proc.join(timeout)
-        assert not proc.is_alive() and proc.exitcode == 0
-    finally:
-        proc.kill()
-        proc.join()
-        recv.close()
-        send.close()
-    return got
+    return fwd.tobytes(), adj.tobytes(), lanes._pool is not None, mat.threads
 
 
 class TestRowSplit:
@@ -356,9 +331,9 @@ class TestRowSplit:
         _, mat, _ = split
         x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
         fwd, adj, _, threads = _split_products(mat, x, r, one_cpu=False)
-        assert threads == rowsplit.projector_threads()
+        assert threads == lanes.lane_count()
         # a fresh fork has no pool: with one CPU the caller runs both halves
-        assert _in_forked_child(mat, x, r, True) == (fwd, adj, False, 1)
+        assert in_forked_child(_split_products, mat, x, r, True) == (fwd, adj, False, 1)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -366,8 +341,8 @@ class TestRowSplit:
         _, mat, _ = split
         x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
         want = _split_products(mat, x, r, one_cpu=False)
-        assert want[2] == (rowsplit.projector_threads() == 2)
-        assert _in_forked_child(mat, x, r, False) == want
+        assert want[2] == (lanes.lane_count() == 2)
+        assert in_forked_child(_split_products, mat, x, r, False) == want
 
 
 class TestForwardProject:
