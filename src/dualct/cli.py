@@ -149,8 +149,13 @@ def cmd_reconstruct(setup: _Setup) -> str:
     loaded_from = _load_system_matrix(setup)
     x0_path = setup.out("x0.f64")
     if x0_path.exists():
-        state0 = DualState(io.load_image(x0_path, setup.geometry.grid),
-                           io.load_sinogram(setup.out("z0.f64"), setup.geometry))
+        x0 = io.load_image(x0_path, setup.geometry.grid)
+        z0_path = setup.out("z0.f64")
+        z0 = io.load_sinogram(z0_path, setup.geometry)
+        if not z0.is_full_view:
+            raise InputError(f"{z0_path} holds {z0.n_views} of the "
+                             f"{setup.geometry.n_views_full} views; z0 must hold every view")
+        state0 = DualState(x0, z0)
     else:
         state0 = initialize(measured, setup.geometry, setup.mask)
     spec = ProblemSpec(setup.geometry, setup.mask, measured,

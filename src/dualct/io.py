@@ -64,64 +64,64 @@ def load_array(path):
     return values, sidecar
 
 
-def _recorded_grid(grid: GridSpec) -> dict:
-    """What an image's sidecar records of its grid: key -> (reader, value)."""
-    return {"pixel_size": (config_float, grid.pixel_size),
-            "origin": (list_of(config_float, 2), grid.origin)}
+def _grid_record(grid: GridSpec) -> dict:
+    """What an image's sidecar records of its grid, under ``grid``."""
+    return {"nx": grid.nx, "ny": grid.ny, "pixel_size": grid.pixel_size,
+            "origin": list(grid.origin)}
 
 
-def _recorded_geometry(geo: ScanGeometry) -> dict:
-    """What a sinogram's sidecar records of its geometry, as above."""
-    return {**_recorded_grid(geo.grid), "det_spacing": (config_float, geo.det_spacing),
-            "n_views_full": (config_int, geo.n_views_full)}
+def _geometry_record(geo: ScanGeometry) -> dict:
+    """Everything of ``geo`` that A depends on, as the sidecars of a
+    sinogram and of A record it under ``geometry``."""
+    angles = hashlib.sha256(geo.angles_array().astype("<f8").tobytes()).hexdigest()
+    return {"kind": geo.kind, "angles_sha256": angles, "n_dets": geo.n_dets,
+            "det_spacing": geo.det_spacing, "source_radius": geo.source_radius,
+            **_grid_record(geo.grid)}
 
 
-def _record(recorded: dict) -> dict:
-    return {key: value for key, (_, value) in recorded.items()}
-
-
-def _check_recorded(path, sidecar: dict, what: str, owner: str, recorded: dict) -> None:
-    """Refuses a file whose sidecar records another value of a key of
-    ``recorded`` than the one wanted, so a file left from another grid or
-    geometry is refused rather than reused. A sidecar without a key, as
-    older files are, passes on it."""
-    for key, (read, want) in recorded.items():
-        if key in sidecar:
-            try:
-                got = read(sidecar[key], key)
-            except ConfigError as exc:
-                raise FormatError(f"bad sidecar {path}.json: {exc}") from None
-            if got != want:
-                raise FormatError(f"{path} is {what} with {key} {got}, {owner} has {want}")
+def _check_record(path, sidecar: dict, kind: str, entry: str, want: dict) -> None:
+    """Refuses a file whose sidecar names another ``kind`` of file, or
+    records under ``entry`` another value of any field of ``want``, so a
+    file left from another grid or geometry is refused rather than reused.
+    Values compare as JSON text, so ``true`` is not 1 and 8.0 is not 8. A
+    sidecar without ``kind`` or ``entry``, as a hand-written one, passes."""
+    if sidecar.get("kind", kind) != kind:
+        raise FormatError(f"{path} holds kind {sidecar['kind']!r}, not {kind!r}")
+    got = sidecar.get(entry, want)
+    if not isinstance(got, dict):
+        raise FormatError(f"bad sidecar {path}.json: {entry} must be a mapping, got {got!r}")
+    for key, value in want.items():
+        if json.dumps(got.get(key)) != json.dumps(value):
+            what = "an image" if kind == "image" else f"a {kind}"
+            raise FormatError(f"{path} is {what} with {key} {got.get(key)}, "
+                              f"the {entry} has {value}")
 
 
 def save_image(path, img: Image) -> None:
-    save_array(path, img.values, {"kind": "image", **_record(_recorded_grid(img.grid))})
+    save_array(path, img.values, {"kind": "image", "grid": _grid_record(img.grid)})
 
 
 def load_image(path, grid: GridSpec) -> Image:
-    """An image of ``grid``; a sidecar that records a ``pixel_size`` or an
-    ``origin`` must record the grid's."""
+    """An image of ``grid``; a sidecar that records a grid must record this one."""
     values, sidecar = load_array(path)
     if tuple(sidecar["shape"]) != grid.shape:
         raise FormatError(f"{path}: image shape {sidecar['shape']} does not match grid")
-    _check_recorded(path, sidecar, "an image", "the grid", _recorded_grid(grid))
+    _check_record(path, sidecar, "image", "grid", _grid_record(grid))
     return Image(grid, values)
 
 
 def save_sinogram(path, sino: Sinogram) -> None:
     save_array(path, sino.values, {"kind": "sinogram",
                                    "view_indices": [int(i) for i in sino.view_indices],
-                                   **_record(_recorded_geometry(sino.geometry))})
+                                   "geometry": _geometry_record(sino.geometry)})
 
 
 def load_sinogram(path, geo: ScanGeometry) -> Sinogram:
     """One row of ``geo.n_dets`` values per view the sidecar's ``view_indices``
     names; without them the rows are views 0, 1, ... A sidecar that records
-    a ``det_spacing``, ``n_views_full``, ``pixel_size`` or ``origin`` must
-    record the geometry's."""
+    a geometry must record this one."""
     values, sidecar = load_array(path)
-    _check_recorded(path, sidecar, "a sinogram", "the geometry", _recorded_geometry(geo))
+    _check_record(path, sidecar, "sinogram", "geometry", _geometry_record(geo))
     n_rows = values.size // geo.n_dets
     try:
         idx = list_of(config_int)(sidecar.get("view_indices", list(range(n_rows))), "view_indices")
@@ -169,16 +169,6 @@ SYSTEM_MATRIX_FORMAT = 1
 _CSR_ARRAYS = ("indptr", "indices", "data")
 
 
-def _matrix_record(geo: ScanGeometry) -> dict:
-    """Everything of ``geo`` that A depends on, as its sidecar records it."""
-    grid = geo.grid
-    angles = hashlib.sha256(geo.angles_array().astype("<f8").tobytes()).hexdigest()
-    return {"kind": geo.kind, "angles_sha256": angles,
-            "n_dets": geo.n_dets, "det_spacing": geo.det_spacing,
-            "source_radius": geo.source_radius, "nx": grid.nx, "ny": grid.ny,
-            "pixel_size": grid.pixel_size, "origin": list(grid.origin)}
-
-
 def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
     """A's CSR arrays (indptr, indices, data), raw little-endian and back to
     back, with a JSON sidecar of their dtypes, the shape, nnz and the
@@ -192,7 +182,7 @@ def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
     arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in arrays]
     sidecar = {"format": SYSTEM_MATRIX_FORMAT, "shape": list(mat.shape), "nnz": int(mat.nnz),
                "dtypes": {name: a.dtype.str for name, a in zip(_CSR_ARRAYS, arrays)},
-               "geometry": _matrix_record(geo)}
+               "geometry": _geometry_record(geo)}
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "wb") as fh:
         for a in arrays:
@@ -222,7 +212,7 @@ def load_system_matrix(path, geo: ScanGeometry):
     except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:
         raise FormatError(f"bad sidecar {path}.json: {exc}") from None
     if (sidecar.get("format") != SYSTEM_MATRIX_FORMAT
-            or sidecar.get("geometry") != _matrix_record(geo)):
+            or sidecar.get("geometry") != _geometry_record(geo)):
         raise FormatError(f"{path} holds A of another geometry or format")
     if (sidecar.get("shape") != [n_rows, n_cols] or nnz < 0
             or [d.str for d in dtypes[:2]] not in (["<i4", "<i4"], ["<i8", "<i8"])

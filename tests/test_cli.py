@@ -345,6 +345,40 @@ class TestExitCodes:
         assert err.startswith("i/o error: ") and "measured.f64 is a sinogram" in err
         assert (tmp_path / "out" / "x0.f64").read_bytes() == x0
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"grid": {"nx": 8, "ny": 16, "pixel_size": 0.125}}, "nx 16, the geometry has 8"),
+        ({"kind": "fan"}, "kind parallel, the geometry has fan"),
+    ], ids=["nx", "fan"])
+    def test_measurement_from_another_scan_refused(self, tmp_path, capsys, edit, message):
+        # an explicit det_spacing, so that only the edited field differs
+        geometry = {**base_config(tmp_path)["geometry"], "det_spacing": 0.1}
+        cfg = write_config(tmp_path, geometry=geometry)
+        for cmd in ("phantom", "simulate", "init"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        x0 = (tmp_path / "out" / "x0.f64").read_bytes()
+        cfg = write_config(tmp_path, geometry={**geometry, **edit})
+        capsys.readouterr()
+        for cmd in ("init", "reconstruct"):
+            assert main([cmd, "--config", str(cfg)]) == EXIT_IO, cmd
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ")
+            assert f"measured.f64 is a sinogram with {message}" in err
+        assert (tmp_path / "out" / "x0.f64").read_bytes() == x0
+        assert not (tmp_path / "out" / "recon.f64").exists()
+
+    def test_sparse_z0_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for cmd in ("phantom", "simulate", "init"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        for suffix in ("", ".json"):
+            (out / f"z0.f64{suffix}").write_bytes((out / f"measured.f64{suffix}").read_bytes())
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "z0.f64 holds 8 of the 24 views" in err
+        assert not (out / "recon.f64").exists()
+
     def test_unknown_solver_knob(self, tmp_path):
         cfg = write_config(tmp_path, solver={"bogus": 1})
         assert main(["phantom", "--config", str(cfg)]) == EXIT_CONFIG

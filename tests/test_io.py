@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,8 +13,19 @@ from dualct import io, tomo
 from dualct.errors import ConfigError, FormatError, InputError
 from dualct.regularizer import make_random_weights, make_tv_weights
 from dualct.solver import SolverParams
-from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram,
+from dualct.tomo import (FAN, PARALLEL, GridSpec, Image, Sinogram, fan_geometry,
                          parallel_geometry, system_matrix, uniform_mask)
+
+
+PAR = parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)
+FAN8 = fan_geometry(10, 7, GridSpec(8, 8, 1.0))
+
+
+def _edit_record(path, entry, values):
+    """Overwrites fields of the record ``entry`` in ``path``'s sidecar."""
+    sidecar = json.loads(Path(f"{path}.json").read_text())
+    sidecar[entry].update(values)
+    Path(f"{path}.json").write_text(json.dumps(sidecar))
 
 
 class TestRawArrays:
@@ -85,10 +97,12 @@ class TestRawArrays:
                                       {"pixel_size": True}, {"origin": [0.0]},
                                       {"origin": [0.0, "a"]}])
     def test_image_grid_keys_malformed(self, tmp_path, rng, meta):
+        grid = GridSpec(6, 4, 0.5)
         path = tmp_path / "img.f64"
-        io.save_array(path, rng.random((4, 6)), {"kind": "image", **meta})
-        with pytest.raises(FormatError, match=r"bad sidecar .*img\.f64\.json"):
-            io.load_image(path, GridSpec(6, 4, 0.5))
+        io.save_image(path, Image(grid, rng.random((4, 6))))
+        _edit_record(path, "grid", meta)
+        with pytest.raises(FormatError, match=rf"img\.f64 is an image with {next(iter(meta))}"):
+            io.load_image(path, grid)
 
     def test_image_sidecar_without_grid_keys(self, tmp_path, rng):
         path = tmp_path / "img.f64"
@@ -106,27 +120,70 @@ class TestRawArrays:
         np.testing.assert_array_equal(loaded.values, sino.values)
         np.testing.assert_array_equal(loaded.view_indices, idx)
 
-    @pytest.mark.parametrize("key, other", [
-        ("pixel_size", parallel_geometry(10, 7, GridSpec(8, 8, 0.5), det_spacing=1.5)),
-        ("origin", parallel_geometry(10, 7, GridSpec(8, 8, 1.0, (0.5, 0.0)), det_spacing=1.5)),
-        ("det_spacing", parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=2.0)),
-        ("n_views_full", parallel_geometry(12, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)),
-    ], ids=["pixel_size", "origin", "det_spacing", "n_views_full"])
-    def test_sinogram_from_another_geometry(self, tmp_path, rng, key, other):
-        geo = parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)
+    @pytest.mark.parametrize("key, geo, other", [
+        ("pixel_size", PAR, parallel_geometry(10, 7, GridSpec(8, 8, 0.5), det_spacing=1.5)),
+        ("origin", PAR, parallel_geometry(10, 7, GridSpec(8, 8, 1.0, (0.5, 0.0)), det_spacing=1.5)),
+        ("det_spacing", PAR, parallel_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=2.0)),
+        ("angles_sha256", PAR, parallel_geometry(12, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)),
+        ("nx", PAR, parallel_geometry(10, 7, GridSpec(9, 8, 1.0), det_spacing=1.5)),
+        ("ny", PAR, parallel_geometry(10, 7, GridSpec(8, 9, 1.0), det_spacing=1.5)),
+        ("kind", PAR, fan_geometry(10, 7, GridSpec(8, 8, 1.0), det_spacing=1.5)),
+        ("source_radius", FAN8, replace(FAN8, source_radius=30.0)),
+        ("angles_sha256", PAR, replace(PAR, angles=tuple(np.arange(10) * 0.3))),
+    ], ids=["pixel_size", "origin", "det_spacing", "n_views_full", "nx", "ny", "kind",
+            "source_radius", "angles"])
+    def test_sinogram_from_another_geometry(self, tmp_path, rng, key, geo, other):
         path = tmp_path / "s.f64"
         io.save_sinogram(path, Sinogram(geo, [0, 4, 8], rng.random((3, 7))))
         with pytest.raises(FormatError, match=f"s.f64 is a sinogram with {key}"):
             io.load_sinogram(path, other)
 
     @pytest.mark.parametrize("meta", [{"det_spacing": "wide"}, {"det_spacing": None},
-                                      {"n_views_full": 10.0}, {"n_views_full": True},
+                                      {"n_dets": 7.0}, {"n_dets": True},
                                       {"pixel_size": "wide"}, {"origin": [0.0]}])
     def test_sinogram_geometry_keys_malformed(self, tmp_path, rng, meta):
         path = tmp_path / "s.f64"
-        io.save_array(path, rng.random((10, 7)), {"kind": "sinogram", **meta})
-        with pytest.raises(FormatError, match=r"bad sidecar .*s\.f64\.json"):
-            io.load_sinogram(path, parallel_geometry(10, 7, GridSpec(8, 8, 1.0)))
+        io.save_sinogram(path, Sinogram(PAR, range(10), rng.random((10, 7))))
+        _edit_record(path, "geometry", meta)
+        with pytest.raises(FormatError, match=rf"s\.f64 is a sinogram with {next(iter(meta))}"):
+            io.load_sinogram(path, PAR)
+
+    def test_record_missing_a_field(self, tmp_path, rng):
+        path = tmp_path / "s.f64"
+        io.save_sinogram(path, Sinogram(PAR, range(10), rng.random((10, 7))))
+        sidecar = json.loads(Path(f"{path}.json").read_text())
+        del sidecar["geometry"]["nx"]
+        Path(f"{path}.json").write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match="s.f64 is a sinogram with nx None, "
+                                              "the geometry has 8"):
+            io.load_sinogram(path, PAR)
+
+    @pytest.mark.parametrize("record", [[], "grid", 3, None])
+    def test_record_not_a_mapping(self, tmp_path, rng, record):
+        img, sino = tmp_path / "img.f64", tmp_path / "s.f64"
+        io.save_array(img, rng.random((8, 8)), {"kind": "image", "grid": record})
+        io.save_array(sino, rng.random((10, 7)), {"kind": "sinogram", "geometry": record})
+        with pytest.raises(FormatError, match=r"bad sidecar .*img\.f64\.json: grid"):
+            io.load_image(img, PAR.grid)
+        with pytest.raises(FormatError, match=r"bad sidecar .*s\.f64\.json: geometry"):
+            io.load_sinogram(sino, PAR)
+
+    def test_file_of_another_kind(self, tmp_path, rng):
+        # 16 views x 16 detectors have the shape of a 16 x 16 image
+        geo = parallel_geometry(16, 16, GridSpec(16, 16, 1.0))
+        img, sino = tmp_path / "img.f64", tmp_path / "s.f64"
+        io.save_image(img, Image(geo.grid, rng.random((16, 16))))
+        io.save_sinogram(sino, Sinogram(geo, range(16), rng.random((16, 16))))
+        with pytest.raises(FormatError, match="s.f64 holds kind 'sinogram', not 'image'"):
+            io.load_image(sino, geo.grid)
+        with pytest.raises(FormatError, match="img.f64 holds kind 'image', not 'sinogram'"):
+            io.load_sinogram(img, geo)
+        # a sidecar without kind still loads as either
+        for path in (img, sino):
+            sidecar = json.loads(Path(f"{path}.json").read_text())
+            Path(f"{path}.json").write_text(json.dumps({"shape": sidecar["shape"]}))
+            io.load_image(path, geo.grid)
+            io.load_sinogram(path, geo)
 
     def test_sinogram_sidecar_without_geometry_keys(self, tmp_path, rng):
         path = tmp_path / "s.f64"
@@ -193,6 +250,54 @@ class TestFuzzedSinogramSidecar:
             return
         assert sino.values.shape == (sino.n_views, 7)
         assert 0 <= sino.view_indices[0] and sino.view_indices[-1] < 10
+
+
+# One value per field of a run config's geometry section, at 16^2 or less;
+# no -0.0, which equals 0.0 but is recorded as another number.
+SCAN_FIELDS = {"kind": st.sampled_from((PARALLEL, FAN)), "nx": st.integers(1, 16),
+               "ny": st.integers(1, 16), "pixel_size": st.sampled_from((0.125, 0.5, 1.0)),
+               "origin": st.sampled_from(((0.0, 0.0), (0.5, -0.25))),
+               "n_views": st.integers(1, 16), "det_spacing": st.sampled_from((None, 0.05, 0.75)),
+               "source_radius": st.sampled_from((20.0, 30.0))}
+
+
+def _scan(drawn, n_dets):
+    grid = GridSpec(drawn["nx"], drawn["ny"], drawn["pixel_size"], drawn["origin"])
+    if drawn["kind"] == PARALLEL:
+        return parallel_geometry(drawn["n_views"], n_dets, grid, drawn["det_spacing"])
+    return fan_geometry(drawn["n_views"], n_dets, grid, drawn["det_spacing"],
+                        drawn["source_radius"])
+
+
+@st.composite
+def geometry_pairs(draw):
+    """Two geometries of one detector count; the second differs from the
+    first in at most one drawn field, and may equal it."""
+    first = {name: draw(values) for name, values in SCAN_FIELDS.items()}
+    field = draw(st.sampled_from((None, *SCAN_FIELDS)))
+    second = {**first, **({field: draw(SCAN_FIELDS[field])} if field else {})}
+    n_dets = draw(st.integers(1, 16))
+    return _scan(first, n_dets), _scan(second, n_dets)
+
+
+class TestGeometryRecord:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(geometry_pairs())
+    def test_sinogram_loads_only_under_its_geometry(self, tmp_path, pair):
+        geo, other = pair
+        path = tmp_path / "s.f64"
+        values = np.arange(geo.n_views_full * geo.n_dets, dtype=float).reshape(-1, geo.n_dets)
+        io.save_sinogram(path, Sinogram(geo, range(geo.n_views_full), values))
+        if geo == other:
+            np.testing.assert_array_equal(io.load_sinogram(path, other).values, values)
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"{path} is a sinogram with ")):
+                io.load_sinogram(path, other)
+        matrix_path = tmp_path / io.SYSTEM_MATRIX_FILE
+        io.save_system_matrix(matrix_path, geo, system_matrix(geo))
+        assert (json.loads(Path(f"{path}.json").read_text())["geometry"]
+                == json.loads(Path(f"{matrix_path}.json").read_text())["geometry"])
 
 
 def _poke(name, at, value):
