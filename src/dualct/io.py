@@ -169,13 +169,23 @@ SYSTEM_MATRIX_FORMAT = 1
 _CSR_ARRAYS = ("indptr", "indices", "data")
 
 
+def _temp_beside(path: Path) -> Path:
+    """A fresh name for a temporary file in ``path``'s directory, so that
+    two runs into one directory never share one. Opened with ``"x"``, it
+    is created with the mode any other output gets."""
+    return path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+
+
 def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
     """A's CSR arrays (indptr, indices, data), raw little-endian and back to
     back, with a JSON sidecar of their dtypes, the shape, nnz and the
-    geometry. Both go through temporary files and ``os.replace``, the old
-    sidecar is removed first and the new one written last, so a file is
-    never paired with another's sidecar. The arrays are written from where
-    they lie, not copied."""
+    geometry. Both are written to temporary files of this call first and
+    put in place by ``os.replace``: the old sidecar is moved aside, the
+    payload replaced, and the new sidecar put in place last, so a file is
+    never paired with another's sidecar. If the payload cannot be put in
+    place, the old sidecar goes back, so the old pair still loads. The
+    temporary files are removed whatever fails. The arrays are written
+    from where they lie, not copied."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".json")
     arrays = [np.asarray(getattr(mat, name)) for name in _CSR_ARRAYS]
@@ -183,16 +193,29 @@ def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
     sidecar = {"format": SYSTEM_MATRIX_FORMAT, "shape": list(mat.shape), "nnz": int(mat.nnz),
                "dtypes": {name: a.dtype.str for name, a in zip(_CSR_ARRAYS, arrays)},
                "geometry": _geometry_record(geo)}
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        for a in arrays:
-            a.tofile(fh)
-    sidecar_path.unlink(missing_ok=True)
-    os.replace(tmp, path)
-    with open(tmp, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, sidecar_path)
+    temps = payload_tmp, sidecar_tmp, old_sidecar = (
+        _temp_beside(path), _temp_beside(sidecar_path), _temp_beside(sidecar_path))
+    try:
+        with open(payload_tmp, "xb") as fh:
+            for a in arrays:
+                a.tofile(fh)
+        with open(sidecar_tmp, "x") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        try:
+            os.replace(sidecar_path, old_sidecar)
+        except FileNotFoundError:
+            pass
+        try:
+            os.replace(payload_tmp, path)
+        except OSError:
+            if old_sidecar.exists():
+                os.replace(old_sidecar, sidecar_path)
+            raise
+        os.replace(sidecar_tmp, sidecar_path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def load_system_matrix(path, geo: ScanGeometry):

@@ -223,8 +223,8 @@ def lipschitz_regularizers(spec: ProblemSpec):
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """The Lipschitz estimates of one problem, from one set of power
-    iterations; only the M^2/eps term of the regularizer bounds varies."""
+    """The Lipschitz estimates of one problem, each computed once; only
+    the M^2/eps term of the regularizer bounds varies."""
 
     l_z: float  # z-block Hessian norm of f
     l_x: float  # x-block Hessian norm of f
@@ -238,5 +238,5 @@ class LipschitzConstants:
 
 
 def lipschitz_constants(spec: ProblemSpec) -> LipschitzConstants:
-    """Run every Lipschitz power iteration of the problem once."""
+    """Run every Lipschitz estimate of the problem once."""
     return LipschitzConstants(*block_lipschitz(spec), *lipschitz_regularizers(spec))

@@ -232,7 +232,7 @@ def feature_jvp(tangent: np.ndarray, stack: ConvStack, slopes) -> np.ndarray:
     """Directional derivative of the extractor along ``tangent`` at the
     field whose :func:`feature_forward` gave ``slopes``; that field enters
     only through them, and ``tangent`` has its shape. Returns an
-    (n_sites, out_channels) array; used by the power iteration in
+    (n_sites, out_channels) array; used by the Lanczos steps of
     :func:`lipschitz_estimate`. Of ``stack`` only its ``layers`` are read.
     """
     hv = tangent[None]
@@ -284,23 +284,52 @@ def _scale_of(a: np.ndarray) -> float:
     return math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(a))))[1], 1023))
 
 
-def power_iteration(apply, v: np.ndarray, power_iters: int) -> float:
+# Lanczos steps of the extractor Jacobian estimate. At 12, M^2 was above
+# the value of 30 power steps on cnn32's image and sinogram stacks (seeds
+# 0-9) and on TV from 64^2 to 180x185, by 2.2e-4 to 2.2e-2 relative; at 10
+# it fell below on 5 of those 24 stacks, by up to 7.9e-4
+LANCZOS_STEPS = 12
+
+
+def lanczos_top_eigenvalue(apply, v: np.ndarray, steps: int) -> float:
     """Largest eigenvalue of the symmetric positive semidefinite operator
-    ``apply``, by power iteration from ``v`` (0.0 if an iterate vanishes,
-    inf if the norm of a product exceeds the float range), in the dtype of
-    ``v`` and ``apply``."""
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(power_iters):
-        w = apply(v)
-        s = _scale_of(w)
-        lam = float(np.linalg.norm(w * s)) / s
-        if not math.isfinite(lam):
+    ``apply``: the top Ritz value of ``steps`` Lanczos steps from ``v``, in
+    the dtype of ``v`` and ``apply``.
+
+    Each new basis vector is reorthogonalized against the whole stored
+    basis by two classical Gram-Schmidt passes, and the top eigenvalue of
+    the tridiagonal matrix is taken in float64. The run stops early when
+    the Krylov space closes (an off-diagonal entry at most 1e-6 of the
+    largest diagonal one), where the value is exact. An operator that
+    vanishes on ``v`` gives 0.0, a product that is not finite gives inf.
+    """
+    basis = np.empty((steps, v.size), v.dtype)
+    basis[0] = (v / np.linalg.norm(v)).ravel()
+    alphas, betas = [], []
+    for j in range(steps):
+        w = apply(basis[j].reshape(v.shape)).ravel()
+        q = basis[:j + 1]
+        h = q @ w
+        alphas.append(float(h[j]))
+        if not math.isfinite(alphas[-1]):
             return math.inf
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
+        if j == steps - 1:
+            break
+        w = w - q.T @ h
+        w -= q.T @ (q @ w)
+        s = _scale_of(w)
+        w *= s
+        norm = float(np.linalg.norm(w))
+        beta = norm / s
+        if not math.isfinite(beta):
+            return math.inf
+        if beta <= 1e-6 * max(alphas):  # the Krylov space closed
+            break
+        betas.append(beta)
+        basis[j + 1] = w / norm
+    t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    s = _scale_of(t)
+    return float(np.linalg.eigvalsh(t * s)[-1]) / s
 
 
 def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
@@ -308,13 +337,14 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
     as a function of the smoothing half-width eps.
 
     sqrt(m)*L_g + M^2/eps, where M is the spectral norm of the extractor's
-    Jacobian, estimated by 30 power-iteration steps at a random probe
-    (seed 0), and L_g is a curvature constant for the extractor (0 for a
-    single linear layer; otherwise max|a''| = 1/(2*delta) times the product
-    of layer Frobenius norms). Neither depends on eps, so the power
-    iteration runs once for every positive eps the returned function is given.
+    Jacobian, estimated by :data:`LANCZOS_STEPS` Lanczos steps on J^T J at
+    a random probe (seed 0), and L_g is a curvature constant for the
+    extractor (0 for a single linear layer; otherwise max|a''| = 1/(2*delta)
+    times the product of layer Frobenius norms). Neither depends on eps, so
+    the Lanczos run is made once for every positive eps the returned
+    function is given.
 
-    The slopes come from the float64 forward pass at the probe. The power
+    The slopes come from the float64 forward pass at the probe. The Lanczos
     steps run in float32 on the layers each divided by its Frobenius norm,
     which keeps them in float32's range for any finite weights; their
     eigenvalue is then scaled by the product of the squared norms in
@@ -336,9 +366,9 @@ def lipschitz_estimate(stack: ConvStack, probe_shape: tuple[int, int]):
         with np.errstate(over="ignore", invalid="ignore"):
             _, slopes = feature_forward(y, stack)
             slopes = [slope.astype(np.float32) for slope in slopes]
-            unit_sq = power_iteration(  # largest eigenvalue of J^T J over the unit layers
+            unit_sq = lanczos_top_eigenvalue(  # of J^T J over the unit layers
                 lambda v: feature_vjp(y, unit, feature_jvp(v, unit, slopes), slopes),
-                start.astype(np.float32), 30)
+                start.astype(np.float32), LANCZOS_STEPS)
         m_spec_sq = unit_sq * math.prod(nrm * nrm for nrm in norms)
         curvature = 0.0 if stack.n_layers == 1 else (
             math.prod(norms) / (2.0 * stack.activation_delta))

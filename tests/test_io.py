@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -387,6 +388,32 @@ class TestSystemMatrixFile:
         with pytest.raises(FormatError, match=message) as err:
             io.load_system_matrix(path, geo)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2])
+    def test_failed_replace_leaves_no_temporary_file(self, saved, monkeypatch, fail_at):
+        # os.replace moves the old sidecar aside (0), puts the payload in
+        # place (1), then the new sidecar (2); call ``fail_at`` raises once
+        path, geo = saved
+        before = [a.tobytes() for a in io.load_system_matrix(path, geo)]
+        other = replace(geo, n_dets=21)
+        calls, real_replace = [], os.replace
+
+        def failing_once(src, dst):
+            calls.append(dst)
+            if len(calls) == fail_at + 1:
+                raise OSError("no space left")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_once)
+        with pytest.raises(OSError, match="no space left"):
+            io.save_system_matrix(path, other, system_matrix(other))
+        monkeypatch.undo()
+        assert not list(path.parent.glob("*.tmp"))
+        if fail_at < 2:  # the old pair is whole
+            assert [a.tobytes() for a in io.load_system_matrix(path, geo)] == before
+        else:  # the new payload has no sidecar yet
+            with pytest.raises(FileNotFoundError):
+                io.load_system_matrix(path, other)
 
     def test_missing_sidecar(self, saved):
         path, geo = saved

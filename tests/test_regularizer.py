@@ -15,9 +15,9 @@ from conftest import in_forked_child
 from dualct.errors import ConfigError, FormatError
 from dualct import lanes, regularizer
 from dualct.io import load_weights, save_array, save_weights
-from dualct.regularizer import (ConvStack, feature_forward,
+from dualct.regularizer import (LANCZOS_STEPS, ConvStack, feature_forward,
                                 feature_jvp, feature_vjp, l21_norm,
-                                lipschitz_estimate, power_iteration,
+                                lanczos_top_eigenvalue, lipschitz_estimate,
                                 make_random_weights, make_tv_weights,
                                 smoothed_grad, smoothed_relu, smoothed_value)
 
@@ -393,19 +393,6 @@ class TestSmoothedRegularizer:
 
 
 class TestLipschitzEstimate:
-    def test_power_iteration_near_the_float_limits(self):
-        # the squares of the entries overflow or underflow, the norm does not
-        assert power_iteration(lambda v: 1e300 * v, np.ones(4), 30) == 1e300
-        assert power_iteration(lambda v: 1e-170 * v, np.ones(4), 30) == 1e-170
-        assert power_iteration(lambda v: 1e-320 * v, np.ones(4), 30) == pytest.approx(
-            1e-320, rel=1e-2)  # subnormal
-
-    def test_power_iteration_overflow_is_infinite(self):
-        # the first product holds infinities; dividing by its norm would
-        # leave a vanished iterate, whose estimate would read 0
-        with np.errstate(over="ignore"):
-            assert power_iteration(lambda v: 1e308 * 10 * v, np.ones(4), 30) == math.inf
-
     def test_huge_weights_give_an_infinite_estimate(self):
         assert lipschitz_estimate(make_tv_weights(scale=1e160), (8, 8))(0.1) == math.inf
 
@@ -439,21 +426,107 @@ class TestLipschitzEstimate:
             assert dg <= lip * np.linalg.norm(y1 - y2) * (1 + 1e-9)
 
 
-def _float64_jacobian_norm_sq(stack, probe_shape):
-    """M^2 as 30 float64 power steps over the layers as they are, from the
-    probe and start that :func:`lipschitz_estimate` draws."""
+def _power_iteration_reference(apply, v, power_iters):
+    """Largest eigenvalue of the symmetric positive semidefinite operator
+    ``apply`` by power iteration from ``v``: the estimator that the Lanczos
+    steps replaced (0.0 if an iterate vanishes, inf past the float range)."""
+    v = v / np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(power_iters):
+        w = apply(v)
+        s = regularizer._scale_of(w)
+        lam = float(np.linalg.norm(w * s)) / s
+        if not math.isfinite(lam):
+            return math.inf
+        if lam == 0.0:
+            return 0.0
+        v = w / lam
+    return lam
+
+
+def _lanczos_steps(apply, v):
+    return lanczos_top_eigenvalue(apply, v, LANCZOS_STEPS)
+
+
+def _thirty_power_steps(apply, v):
+    return _power_iteration_reference(apply, v, 30)
+
+
+def _float64_jacobian_norm_sq(stack, probe_shape, estimate=_lanczos_steps):
+    """M^2 as ``estimate(apply, start)`` over J^T J of the layers as they
+    are, in float64, from the probe and start that
+    :func:`lipschitz_estimate` draws."""
     rng = np.random.default_rng(0)
     y = rng.standard_normal(probe_shape)
     _, slopes = feature_forward(y, stack)
-    return power_iteration(
+    return estimate(
         lambda v: feature_vjp(y, stack, feature_jvp(v, stack, slopes), slopes),
-        rng.standard_normal(probe_shape), 30)
+        rng.standard_normal(probe_shape))
 
 
 def _estimated_norm_sq(stack, probe_shape):
     """M^2 of :func:`lipschitz_estimate`, which is sqrt(m)*L_g + M^2/eps."""
     bound = lipschitz_estimate(stack, probe_shape)
     return bound(0.5) - bound(1.0)
+
+
+class TestLanczos:
+    """The Lanczos estimator on small dense operators and at the edges of
+    the float range."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), rank=st.integers(0, 12), steps=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_between_power_steps_and_the_top_eigenvalue(self, n, rank, steps, seed):
+        # B = M^T M with M of ``rank`` rows; k Lanczos steps span the Krylov
+        # space of k - 1 power steps and one more product, so they reach at
+        # least the power estimate, and they find the top eigenvalue once
+        # the space closes
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((rank, n))
+        b = m.T @ m
+        v = rng.standard_normal(n)
+        got = lanczos_top_eigenvalue(lambda x: b @ x, v, steps)
+        top = max(float(np.linalg.eigvalsh(b)[-1]), 0.0)
+        power = _power_iteration_reference(lambda x: b @ x, v, steps - 1)
+        assert power * (1 - 1e-10) <= got <= top * (1 + 1e-10)
+        if min(rank, n) < steps:
+            assert got == pytest.approx(top, rel=1e-10, abs=0.0)
+
+    def test_zero_operator_gives_zero(self):
+        assert lanczos_top_eigenvalue(lambda x: np.zeros((5, 5)) @ x, np.ones(5), 12) == 0.0
+        assert lanczos_top_eigenvalue(lambda x: 0.0 * x, np.ones((3, 4)), 1) == 0.0
+
+    def test_near_the_float_limits(self):
+        # the squares of the entries overflow or underflow, the norm does not
+        assert lanczos_top_eigenvalue(lambda v: 1e300 * v, np.ones(4), 12) == 1e300
+        assert lanczos_top_eigenvalue(lambda v: 1e-170 * v, np.ones(4), 12) == 1e-170
+        assert lanczos_top_eigenvalue(lambda v: 1e-320 * v, np.ones(4), 12) == pytest.approx(
+            1e-320, rel=1e-2)  # subnormal
+
+    def test_overflow_is_infinite(self):
+        # the first product holds infinities; its Rayleigh quotient is not finite
+        with np.errstate(over="ignore"):
+            assert lanczos_top_eigenvalue(lambda v: 1e308 * 10 * v, np.ones(4), 12) == math.inf
+
+
+def _cnn32_stacks():
+    """cnn32's image and sinogram stacks at workload seeds 0-9, on their
+    probe shapes."""
+    for seed in range(10):
+        yield pytest.param(make_random_weights(seed, n_layers=3, n_channels=8, kernel=(3, 3)),
+                           (32, 32), id=f"image-{seed}")
+        yield pytest.param(make_random_weights(seed + 1, n_layers=3, n_channels=8,
+                                               kernel=(3, 15)), (90, 47), id=f"sinogram-{seed}")
+
+
+@pytest.mark.parametrize("stack, probe_shape", [
+    *_cnn32_stacks(),
+    *(pytest.param(make_tv_weights(), shape, id=f"tv-{shape[0]}x{shape[1]}")
+      for shape in [(64, 64), (90, 95), (128, 128), (180, 185)])])
+def test_estimate_not_below_thirty_power_steps(stack, probe_shape):
+    want = _float64_jacobian_norm_sq(stack, probe_shape, _thirty_power_steps)
+    assert _estimated_norm_sq(stack, probe_shape) >= want * (1 - 1e-6)
 
 
 FLOAT32_STACKS = [(make_tv_weights(), (32, 32)),
@@ -463,8 +536,8 @@ FLOAT32_STACKS = [(make_tv_weights(), (32, 32)),
 
 
 class TestFloat32PowerIteration:
-    """The Jacobian norm from float32 steps on unit-norm layers, against a
-    float64 run of the same 30 steps."""
+    """The Jacobian norm from float32 Lanczos steps on unit-norm layers,
+    against a float64 run of the same steps on the layers as they are."""
 
     @pytest.mark.parametrize("stack, probe_shape", FLOAT32_STACKS)
     def test_matches_float64_steps(self, stack, probe_shape):
@@ -482,9 +555,9 @@ class TestFloat32PowerIteration:
         y = np.random.default_rng(0).standard_normal(probe_shape)
         slopes = [s.astype(np.float32) for s in feature_forward(y, big)[1]]
         with np.errstate(over="ignore", invalid="ignore"):
-            assert power_iteration(
+            assert _lanczos_steps(
                 lambda v: feature_vjp(y, as_float32, feature_jvp(v, as_float32, slopes), slopes),
-                np.ones(probe_shape, np.float32), 30) == math.inf
+                np.ones(probe_shape, np.float32)) == math.inf
 
     @pytest.mark.parametrize("zero_at", [0, 1, 2])
     def test_zero_layer_gives_zero(self, zero_at):
