@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__, io, metrics as metrics_mod
 from .errors import ConfigError, FormatError, InputError, NumericalError, SolverError
-from .lanes import usable_cpus
 from .objective import DualState, ProblemSpec
 from .simdata import initialize, make_phantom, simulate_measurement
 from .solver import run as solver_run
@@ -78,13 +77,17 @@ def _numeric_environment() -> dict:
     import scipy
 
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS
+        nproc = os.cpu_count() or 1
     return {
         "versions": {"dualct": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
                      "python": platform.python_version()},
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "nproc": usable_cpus(),
+        "nproc": nproc,
     }
 
 
@@ -174,8 +177,7 @@ def cmd_reconstruct(setup: _Setup) -> str:
     log.write_csv(setup.out("iterations.csv"))
     log.write_json(setup.out("iterations.json"))
     setup.write_manifest("reconstruct", system_matrix={
-        "source": "loaded" if loaded_from else "built", "file": loaded_from,
-        "threads": system_matrix(setup.geometry).threads})
+        "source": "loaded" if loaded_from else "built", "file": loaded_from})
     last = log.records[-1] if log.records else None
     tail = (f"{len(log)} iters, final grad {last.grad_norm:.3e}, eps {last.eps:.3e}"
             if last else "0 iters")

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, config_float, config_int, config_seed, list_of, read_fields
-from .lanes import both
 
 
 def smoothed_relu(t, delta):
@@ -80,20 +79,13 @@ class ConvStack:
 
 WINDOW = 1 << 16  # elements in one block of the im2col matrix (512 KiB of doubles)
 
-# multiply-adds (out_c * k * H * Wp) from which a layer's site blocks run on
-# two lanes. Whole -> split, float64 / float32, ms on a 2-vCPU host: 8 -> 8
-# channels, 3x15 on a 90x47 sinogram (12.4M) 1.3 -> 1.0 / 0.74-0.98 ->
-# 0.71-0.81; its 8 -> 1 adjoint (1.6M) 0.84 -> 0.67 / 0.44 -> 0.56-0.63;
-# TV's adjoint at 512^2 (2.1M) 1.93 -> 1.59 / 1.12 -> 1.26; TV at 180x185
-# (0.27M) and 8 -> 8, 3x3 on 32x32 (0.63M) slower split in both
-SPLIT_MACS = 4_000_000
-
 _scratch = threading.local()
 
 
 def _scratch_buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
     """``size`` elements of ``dtype`` in a buffer kept per name and thread,
-    grown as needed.
+    grown as needed; per thread, so that solves on several threads never
+    share one.
 
     The conv layer's padded input, im2col block and block product live
     here. glibc maps a large allocation afresh and unmaps it on free, unless
@@ -127,11 +119,9 @@ def _conv_layer(h, w):
     buffer and multiplied by the (out_c, k) weights, so the scratch stays
     at WINDOW elements whatever the field size. The sites lie on
     (out_c, H, Wp) rows whose last kw - 1 columns are cropped, hence the
-    orientation rule. From :data:`SPLIT_MACS` multiply-adds the blocks run
-    on two lanes (:mod:`dualct.lanes`), split at a block boundary, so the
-    bytes are those of one lane. The padded buffer, the im2col block and
-    the block product are reused from call to call (:func:`_scratch_buffer`,
-    one im2col block and product per lane); only the output is new.
+    orientation rule. The padded buffer, the im2col block and the block
+    product are reused from call to call (:func:`_scratch_buffer`); only
+    the output is new.
     ``np.dot``, not ``@``: numpy's matmul skips BLAS when k is 1.
     """
     out_c, in_c, kh, kw = w.shape
@@ -163,23 +153,14 @@ def _conv_layer(h, w):
     w_mat = w_box.reshape(out_c, k)
     block = min(n, max(1, WINDOW // k))
     out = np.empty((out_c, n), dtype)
-
-    def blocks(start, stop):
-        cols_buf = _scratch_buffer("im2col", k * block, dtype)
-        prod_buf = _scratch_buffer("product", out_c * block, dtype)
-        for s in range(start, stop, block):
-            size = min(block, stop - s)
-            patch = cols_buf[:k * size].reshape(k, size)
-            patch.reshape(in_c, th, tw, size)[...] = view[..., s:s + size]
-            prod = prod_buf[:out_c * size].reshape(out_c, size)
-            out[:, s:s + size] = np.dot(w_mat, patch, out=prod)
-
-    n_blocks = -(-n // block)
-    if n_blocks > 1 and out_c * k * n >= SPLIT_MACS:
-        cut = block * ((n_blocks + 1) // 2)
-        both(lambda: blocks(0, cut), lambda: blocks(cut, n))
-    else:
-        blocks(0, n)
+    cols_buf = _scratch_buffer("im2col", k * block, dtype)
+    prod_buf = _scratch_buffer("product", out_c * block, dtype)
+    for s in range(0, n, block):
+        size = min(block, n - s)
+        patch = cols_buf[:k * size].reshape(k, size)
+        patch.reshape(in_c, th, tw, size)[...] = view[..., s:s + size]
+        prod = prod_buf[:out_c * size].reshape(out_c, size)
+        out[:, s:s + size] = np.dot(w_mat, patch, out=prod)
     return out.reshape(out_c, rows, wp)[:, :, :cols]
 
 

@@ -19,7 +19,7 @@ from .errors import (ConfigError, InputError, config_count, config_float, config
                      instance_of, list_of, read_fields)
 
 if TYPE_CHECKING:
-    from .rowsplit import ProjectorMatrix
+    from .projector import ProjectorMatrix
 
 PARALLEL = "parallel"
 FAN = "fan"
@@ -396,7 +396,7 @@ _seeds: dict = {}
 def _build_system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
     # imported here: loading scipy.sparse is a large share of a CLI
     # command's start-up, and most commands never build a matrix
-    from .rowsplit import projector_matrix
+    from .projector import projector_matrix
 
     arrays = _seeds.pop(geo, None)
     indptr, indices, data = _trace_system_matrix(geo) if arrays is None else arrays
@@ -417,8 +417,8 @@ def system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
     geometry; the cache keeps the matrices of the 4 most recently used
     geometries. The adjoint is ``system_matrix(geo).T``, a CSC view of the
     same arrays built once with the matrix, so no second copy is ever
-    built. From ``rowsplit.SPLIT_NNZ`` nonzeros each product on a vector
-    runs by row halves on two threads (see :mod:`dualct.rowsplit`).
+    built (see :mod:`dualct.projector`). Every product runs on the calling
+    thread.
     """
     return _cached_system_matrix(geo)
 

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import io, lanes, rowsplit, tomo
+from dualct import io, tomo
 from dualct.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, _Setup, cmd_weights, main
 from dualct.errors import ConfigError
 from dualct.metrics import psnr
@@ -119,6 +119,36 @@ import sys
 import dualct
 loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")]
 assert not loaded, loaded
+"""
+        run_fresh(script)
+
+    def test_solve_starts_no_thread(self):
+        # cnn32's problem (its 8 -> 8, 3x15 sinogram layer on 90x47 takes
+        # 12.4M multiply-adds) and a 128^2 matrix of 3.84M nonzeros. scipy.sparse
+        # imports concurrent.futures itself, but not its thread pool module.
+        script = """
+import sys
+import threading
+import numpy as np
+import dualct
+from dualct.tomo import system_matrix
+
+grid = dualct.GridSpec(32, 32, 2.0 / 32)
+geo = dualct.parallel_geometry(90, 47, grid)
+mask = dualct.uniform_mask(90, 30)
+truth = dualct.make_phantom(dualct.PhantomSpec("shepp-logan-modified", grid))
+measured, _ = dualct.simulate_measurement(truth, geo, mask,
+                                          dualct.NoiseSpec("gaussian", sigma=0.01, seed=0))
+spec = dualct.ProblemSpec(
+    geo, mask, measured, lam=10.0,
+    image_weights=dualct.make_random_weights(0, n_layers=3, n_channels=8, kernel=(3, 3)),
+    sino_weights=dualct.make_random_weights(1, n_layers=3, n_channels=8, kernel=(3, 15)))
+dualct.run(spec, dualct.initialize(measured, geo, mask), dualct.SolverParams(max_iters=1))
+mat = system_matrix(dualct.parallel_geometry(180, 185, dualct.GridSpec(128, 128, 2.0 / 128)))
+assert mat.nnz >= 1_000_000, mat.nnz
+mat.T @ (mat @ np.ones(mat.shape[1]))
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures.thread" not in sys.modules
 """
         run_fresh(script)
 
@@ -225,12 +255,12 @@ class TestSystemMatrixFile:
     def test_same_outputs_with_and_without_the_file(self, simulated, capsys):
         cfg, path = simulated
         loaded, how, err = self._reconstruct(cfg, capsys)
-        assert how == {"source": "loaded", "file": str(path), "threads": 1}
+        assert how == {"source": "loaded", "file": str(path)}
         assert err == ""
         path.unlink()
         Path(f"{path}.json").unlink()
         built, how, err = self._reconstruct(cfg, capsys)
-        assert how == {"source": "built", "file": None, "threads": 1}
+        assert how == {"source": "built", "file": None}
         assert err == ""
         assert built == loaded
 
@@ -241,14 +271,8 @@ class TestSystemMatrixFile:
         damage(path)
         got, how, err = self._reconstruct(cfg, capsys)
         assert got == want
-        assert how == {"source": "built", "file": None, "threads": 1}
+        assert how == {"source": "built", "file": None}
         assert len(err.splitlines()) == 1 and str(path) in err
-
-    def test_threads_of_a_split_projector(self, simulated, capsys, monkeypatch):
-        monkeypatch.setattr(rowsplit, "SPLIT_NNZ", 0)
-        _, how, _ = self._reconstruct(simulated[0], capsys)
-        assert how["threads"] == lanes.lane_count()
-        tomo._cached_system_matrix.cache_clear()
 
 
 class TestWeightsCommand:

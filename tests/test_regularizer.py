@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,9 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import in_forked_child
 from dualct.errors import ConfigError, FormatError
-from dualct import lanes, regularizer
+from dualct import regularizer
 from dualct.io import load_weights, save_array, save_weights
 from dualct.regularizer import (LANCZOS_STEPS, ConvStack, feature_forward,
                                 feature_jvp, feature_vjp, l21_norm,
@@ -277,88 +274,6 @@ class TestTransposedConv:
         assert_adjoint(h, g, w)
         if zeros == 1.0:
             assert not np.any(got)
-
-
-def _conv_bytes(h, g, w):
-    return (regularizer._conv_layer(h, w).tobytes(),
-            regularizer._conv_layer_adjoint(g, w).tobytes())
-
-
-def _one_cpu_conv_bytes(h, g, w):
-    """:func:`_conv_bytes`, lane count and whether a pool exists, in a
-    process limited to one CPU."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    return _conv_bytes(h, g, w), lanes.lane_count(), lanes._pool is not None
-
-
-# (out_c, in_c, kh, kw) and field; the forward and the adjoint pass each take
-# two or more site blocks, the last one partial
-SPLIT_LAYERS = [((8, 8, 3, 15), (90, 47)),  # cnn32's hidden sinogram layer
-                ((4, 3, 5, 3), (120, 90)),
-                ((1, 8, 3, 15), (90, 47))]
-
-
-class TestLanes:
-    """Site blocks split between the caller and the pool thread, forced by a
-    zero threshold: the bytes are those of one lane."""
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape, field", SPLIT_LAYERS)
-    def test_split_gives_the_bytes_of_one_lane(self, rng, monkeypatch, shape, field, dtype):
-        w = rng.standard_normal(shape).astype(dtype)
-        h = rng.standard_normal((shape[1],) + field).astype(dtype)
-        g = rng.standard_normal((shape[0],) + field).astype(dtype)
-        whole = _conv_bytes(h, g, w)
-        calls = []
-
-        def counted(first, second):
-            calls.append(threading.current_thread())
-            return lanes.both(first, second)
-
-        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
-        monkeypatch.setattr(regularizer, "both", counted)
-        assert _conv_bytes(h, g, w) == whole
-        assert len(calls) == 2  # the forward pass and the adjoint each split
-        assert lanes._pool is not None or lanes.lane_count() == 1
-
-    def test_threshold_leaves_small_layers_whole(self, rng, monkeypatch):
-        monkeypatch.setattr(regularizer, "both", None)  # a split would fail
-        tv = make_tv_weights().layers[0]
-        regularizer._conv_layer(rng.standard_normal((1, 180, 185)), tv)
-        regularizer._conv_layer_adjoint(rng.standard_normal((2, 180, 185)), tv)
-        regularizer._conv_layer(rng.standard_normal((8, 32, 32)),
-                                rng.standard_normal((8, 8, 3, 3)))
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_one_cpu_gives_the_same_bytes(self, rng, monkeypatch):
-        (shape, field), = SPLIT_LAYERS[:1]
-        w = rng.standard_normal(shape)
-        h = rng.standard_normal((shape[1],) + field)
-        g = rng.standard_normal((shape[0],) + field)
-        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
-        want = _conv_bytes(h, g, w)
-        # a fresh fork has no pool: with one CPU the caller runs both parts
-        assert in_forked_child(_one_cpu_conv_bytes, h, g, w) == (want, 1, False)
-
-    def test_split_from_the_pool_thread_runs_inline(self, rng, monkeypatch):
-        (shape, field), = SPLIT_LAYERS[:1]
-        w = rng.standard_normal(shape)
-        h = rng.standard_normal((shape[1],) + field)
-        want = regularizer._conv_layer(h, w).tobytes()
-        monkeypatch.setattr(regularizer, "SPLIT_MACS", 0)
-        got = {}
-
-        def nested():
-            got["thread"] = threading.current_thread()
-            got["bytes"] = regularizer._conv_layer(h, w).tobytes()
-
-        outer = threading.Thread(target=lanes.both, args=(lambda: None, nested), daemon=True)
-        outer.start()
-        outer.join(30.0)
-        assert not outer.is_alive(), "a split made from the pool thread did not return"
-        assert got["bytes"] == want
-        assert (got["thread"] is outer) == (lanes.lane_count() == 1)
 
 
 class TestSmoothedRegularizer:

@@ -13,8 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import in_forked_child
-from dualct import lanes, rowsplit, tomo
+from dualct import tomo
 from dualct.errors import ConfigError, InputError
 from dualct.metrics import psnr
 from dualct.simdata import PhantomSpec, make_phantom
@@ -254,6 +253,18 @@ class TestSystemMatrix:
         assert got["peak"] <= 1.3 * got["a"], got
         assert got["after"] <= 1.2 * got["a"], got
 
+    @pytest.mark.parametrize("geo_name", ["par16", "fan16"])
+    def test_transpose_built_once(self, geo_name, request, rng):
+        mat = tomo._build_system_matrix(request.getfixturevalue(geo_name))
+        plain = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+        assert isinstance(mat, sp.csr_matrix) and mat.T is mat.T
+        assert np.shares_memory(mat.T.data, mat.data)
+        assert (mat != plain).nnz == 0
+        np.testing.assert_array_equal(mat.toarray(), plain.toarray())
+        x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+        assert (mat @ x).tobytes() == (plain @ x).tobytes()
+        assert (mat.T @ r).tobytes() == (plain.T @ r).tobytes()
+
     def test_cache_evicts_least_recently_used(self, grid8):
         tomo._cached_system_matrix.cache_clear()
         size = 4
@@ -269,80 +280,6 @@ class TestSystemMatrix:
         assert rebuilt is not mats[1]
         assert (rebuilt != mats[1]).nnz == 0
         assert tomo._cached_system_matrix.cache_info().currsize == size
-
-
-def _split_products(mat, x, r, one_cpu):
-    """``(A x, A^T r)`` bytes, whether a pool exists and A's thread count,
-    in a process limited to one CPU if ``one_cpu``."""
-    if one_cpu:
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    fwd, adj = mat @ x, mat.T @ r
-    return fwd.tobytes(), adj.tobytes(), lanes._pool is not None, mat.threads
-
-
-class TestRowSplit:
-    """Products of a matrix split by row halves, forced on a 16^2 geometry."""
-
-    @pytest.fixture(params=["parallel", "fan"])
-    def split(self, request, monkeypatch, par16, fan16):
-        monkeypatch.setattr(rowsplit, "SPLIT_NNZ", 0)
-        geo = par16 if request.param == "parallel" else fan16
-        mat = tomo._build_system_matrix(geo)
-        plain = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-        return geo, mat, plain
-
-    def test_halves_are_views(self, split):
-        _, mat, plain = split
-        top, bottom = mat._halves
-        assert top.shape[0] + bottom.shape[0] == mat.shape[0]
-        assert abs(top.nnz - bottom.nnz) <= mat.shape[1]
-        for half in (top, bottom):
-            for name in ("data", "indices"):
-                assert np.shares_memory(getattr(half, name), getattr(mat, name))
-        assert np.shares_memory(top.indptr, mat.indptr)
-        assert isinstance(mat, sp.csr_matrix) and mat.T is mat.T
-        assert (mat != plain).nnz == 0
-        np.testing.assert_array_equal(mat.toarray(), plain.toarray())
-
-    def test_forward_bytes_and_adjoint_match_unsplit(self, split, rng):
-        _, mat, plain = split
-        for _ in range(10):
-            x = rng.standard_normal(mat.shape[1])
-            r = rng.random(mat.shape[0])  # nonnegative: no cancellation
-            assert (mat @ x).tobytes() == (plain @ x).tobytes()
-            np.testing.assert_allclose(mat.T @ r, plain.T @ r, rtol=1e-15, atol=0)
-
-    def test_adjoint_identity(self, split, rng):
-        geo, mat, _ = split
-        for _ in range(100):
-            x = rng.standard_normal(mat.shape[1])
-            z = rng.standard_normal(mat.shape[0])
-            ax = mat @ x
-            denom = np.linalg.norm(ax) * np.linalg.norm(z)
-            assert abs(np.dot(ax, z) - np.dot(x, mat.T @ z)) <= 1e-12 * denom
-
-    def test_threshold_leaves_small_matrices_whole(self, par16):
-        mat = tomo._build_system_matrix(par16)
-        assert mat.nnz < rowsplit.SPLIT_NNZ and mat._halves is None and mat.threads == 1
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_one_cpu_gives_the_same_bytes(self, split, rng):
-        _, mat, _ = split
-        x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
-        fwd, adj, _, threads = _split_products(mat, x, r, one_cpu=False)
-        assert threads == lanes.lane_count()
-        # a fresh fork has no pool: with one CPU the caller runs both halves
-        assert in_forked_child(_split_products, mat, x, r, True) == (fwd, adj, False, 1)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_fork_after_the_pool_ran(self, split, rng):
-        _, mat, _ = split
-        x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
-        want = _split_products(mat, x, r, one_cpu=False)
-        assert want[2] == (lanes.lane_count() == 2)
-        assert in_forked_child(_split_products, mat, x, r, False) == want
 
 
 class TestForwardProject:
