@@ -177,7 +177,8 @@ def cmd_reconstruct(setup: _Setup) -> str:
     log.write_csv(setup.out("iterations.csv"))
     log.write_json(setup.out("iterations.json"))
     setup.write_manifest("reconstruct", system_matrix={
-        "source": "loaded" if loaded_from else "built", "file": loaded_from})
+        "source": "loaded" if loaded_from else "built", "file": loaded_from,
+        "quarter_turns": setup.geometry.quarter_turns})
     last = log.records[-1] if log.records else None
     tail = (f"{len(log)} iters, final grad {last.grad_norm:.3e}, eps {last.eps:.3e}"
             if last else "0 iters")

@@ -164,8 +164,9 @@ def load_weights(path) -> ConvStack:
 
 # what `dualct simulate` saves A in, for `dualct reconstruct` to load
 SYSTEM_MATRIX_FILE = "system_matrix.bin"
-# bumped whenever the trace's bytes change, so older files are rebuilt
-SYSTEM_MATRIX_FORMAT = 1
+# bumped whenever the trace's bytes change, so older files are rebuilt;
+# 2 holds only the rows of the first of A's quarter turns
+SYSTEM_MATRIX_FORMAT = 2
 _CSR_ARRAYS = ("indptr", "indices", "data")
 
 
@@ -177,9 +178,10 @@ def _temp_beside(path: Path) -> Path:
 
 
 def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
-    """A's CSR arrays (indptr, indices, data), raw little-endian and back to
-    back, with a JSON sidecar of their dtypes, the shape, nnz and the
-    geometry. Both are written to temporary files of this call first and
+    """The CSR arrays (indptr, indices, data) of A's stored rows, raw
+    little-endian and back to back, with a JSON sidecar of their dtypes,
+    their shape, nnz, A's ``quarter_turns`` and the geometry. Both are
+    written to temporary files of this call first and
     put in place by ``os.replace``: the old sidecar is moved aside, the
     payload replaced, and the new sidecar put in place last, so a file is
     never paired with another's sidecar. If the payload cannot be put in
@@ -190,7 +192,9 @@ def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
     sidecar_path = Path(str(path) + ".json")
     arrays = [np.asarray(getattr(mat, name)) for name in _CSR_ARRAYS]
     arrays = [a.astype(a.dtype.newbyteorder("<"), copy=False) for a in arrays]
-    sidecar = {"format": SYSTEM_MATRIX_FORMAT, "shape": list(mat.shape), "nnz": int(mat.nnz),
+    q = mat.quarter_turns
+    sidecar = {"format": SYSTEM_MATRIX_FORMAT, "shape": [mat.shape[0] // q, mat.shape[1]],
+               "quarter_turns": q, "nnz": int(mat.nnz),
                "dtypes": {name: a.dtype.str for name, a in zip(_CSR_ARRAYS, arrays)},
                "geometry": _geometry_record(geo)}
     temps = payload_tmp, sidecar_tmp, old_sidecar = (
@@ -219,14 +223,16 @@ def save_system_matrix(path, geo: ScanGeometry, mat) -> None:
 
 
 def load_system_matrix(path, geo: ScanGeometry):
-    """(indptr, indices, data) of A of ``geo`` from a file that
-    :func:`save_system_matrix` wrote. A FormatError names the file when its
-    sidecar is malformed or of another format or geometry, when
-    the payload has another size, or when the arrays are not a CSR
-    structure of A's shape: indptr from 0 to nnz and never decreasing,
+    """(indptr, indices, data) of the stored rows of A of ``geo`` from a
+    file that :func:`save_system_matrix` wrote. A FormatError names the file
+    when its sidecar is malformed or of another format or geometry, when
+    its shape or ``quarter_turns`` are not those of ``geo``'s stored rows,
+    when the payload has another size, or when the arrays are not a CSR
+    structure of that shape: indptr from 0 to nnz and never decreasing,
     indices in ``[0, nx*ny)``, data finite and nonnegative."""
     path = Path(path)
-    n_rows, n_cols = geo.n_views_full * geo.n_dets, geo.grid.nx * geo.grid.ny
+    q = geo.quarter_turns
+    n_rows, n_cols = geo.n_views_full // q * geo.n_dets, geo.grid.nx * geo.grid.ny
     try:
         with open(str(path) + ".json") as fh:
             sidecar = json.load(fh)
@@ -237,10 +243,10 @@ def load_system_matrix(path, geo: ScanGeometry):
     if (sidecar.get("format") != SYSTEM_MATRIX_FORMAT
             or sidecar.get("geometry") != _geometry_record(geo)):
         raise FormatError(f"{path} holds A of another geometry or format")
-    if (sidecar.get("shape") != [n_rows, n_cols] or nnz < 0
-            or [d.str for d in dtypes[:2]] not in (["<i4", "<i4"], ["<i8", "<i8"])
+    if (sidecar.get("shape") != [n_rows, n_cols] or sidecar.get("quarter_turns") != q
+            or nnz < 0 or [d.str for d in dtypes[:2]] not in (["<i4", "<i4"], ["<i8", "<i8"])
             or dtypes[2].str != "<f8"):
-        raise FormatError(f"bad sidecar {path}.json: shape, nnz or dtypes")
+        raise FormatError(f"bad sidecar {path}.json: shape, quarter_turns, nnz or dtypes")
     counts = (n_rows + 1, nnz, nnz)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

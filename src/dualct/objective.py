@@ -183,16 +183,17 @@ def _ata_norm(spec: ProblemSpec) -> float:
     Collatz-Wielandt quotient max_i (A^T A v)_i / v_i bounds its spectral
     radius, which is its norm, from above; the Rayleigh quotient bounds it
     from below. Power steps from the all-ones vector close the gap; they
-    stop once the two agree to 1e-12 relative, or after 50 steps. A pixel
-    no ray hits keeps v_i = 0 after the first step and is left out of the
-    maximum. 0.0 for an all-zero A.
+    stop once the two agree to 1e-6 relative (11 steps at 64^2 and
+    128^2), or after 50 steps; every step's value is an upper bound. A
+    pixel no ray hits keeps v_i = 0 after the first step and is left out
+    of the maximum. 0.0 for an all-zero A.
     """
     v = np.ones(spec.geometry.grid.shape)
     for _ in range(50):
         w = spec.backproject(spec.project(v))
         hit = v > 0
         upper = float(np.max(w[hit] / v[hit]))
-        if upper - float(np.vdot(v, w)) / float(np.vdot(v, v)) <= 1e-12 * upper:
+        if upper - float(np.vdot(v, w)) / float(np.vdot(v, v)) <= 1e-6 * upper:
             break
         v = w / np.max(w)
     return upper

@@ -2,8 +2,9 @@
 
 The forward projector traverses each ray through the pixel grid
 (Siddon-style), recording exact chord lengths. The weights are assembled
-once per geometry into a sparse matrix, so the back-projector is the exact
-transpose of the forward projector by construction.
+once per geometry into a sparse operator (one quarter turn of rows where the
+scan has that symmetry), so the back-projector is the exact transpose of the
+forward projector by construction.
 """
 
 from __future__ import annotations
@@ -106,6 +107,22 @@ class ScanGeometry:
 
     def angles_array(self) -> np.ndarray:
         return np.asarray(self.angles, dtype=float)
+
+    @property
+    def quarter_turns(self) -> int:
+        """How many quarter turns the angular period holds, when a view a
+        quarter turn on sees the pixel grid turned by 90 degrees about its
+        origin: a square grid, and views ``k + j*n/q`` that lie ``j`` quarter
+        turns from view ``k`` (to 1e-12) for every ``k`` and ``j``. Then A
+        is traced for the first ``n/q`` views only (see
+        :mod:`dualct.projector`). 1 for any other geometry."""
+        q = 2 if self.kind == PARALLEL else 4
+        n = self.n_views_full
+        if self.grid.nx != self.grid.ny or n % q:
+            return 1
+        turned = self.angles_array().reshape(q, n // q)
+        offsets = turned - turned[0] - np.arange(q)[:, None] * (np.pi / 2)
+        return q if np.all(np.abs(offsets) <= 1e-12) else 1
 
 
 def parallel_geometry(n_views, n_dets, grid, det_spacing=None):
@@ -352,10 +369,12 @@ def _trace_view(p0: np.ndarray, p1: np.ndarray, grid: GridSpec):
 
 
 def _trace_system_matrix(geo: ScanGeometry):
-    """A's CSR arrays (indptr, indices, data), row by row as traced."""
+    """The CSR arrays (indptr, indices, data) of A's stored rows, those of
+    the first ``1/geo.quarter_turns`` of the views, row by row as traced."""
     grid = geo.grid
     n_dets = geo.n_dets
-    n_rows, n_pix = geo.n_views_full * n_dets, grid.nx * grid.ny
+    angles = geo.angles[:geo.n_views_full // geo.quarter_turns]
+    n_rows, n_pix = len(angles) * n_dets, grid.nx * grid.ny
     t = (np.arange(n_dets) - 0.5 * (n_dets - 1)) * geo.det_spacing
     # a trace row holds nx + ny + 4 sorted parameters, so a ray has at most
     # nx + ny + 3 chords; the pages past the chords written are never
@@ -368,7 +387,7 @@ def _trace_system_matrix(geo: ScanGeometry):
     data = np.empty(bound)
 
     nnz = 0
-    for v, theta in enumerate(geo.angles):
+    for v, theta in enumerate(angles):
         # chords come ordered by ray, so each view's are one stretch of rows
         ray, pix, ln = _trace_view(*_view_endpoints(geo, theta, t), grid)
         indices[nnz:nnz + ln.size] = pix
@@ -400,33 +419,37 @@ def _build_system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
 
     arrays = _seeds.pop(geo, None)
     indptr, indices, data = _trace_system_matrix(geo) if arrays is None else arrays
+    q = geo.quarter_turns
     return projector_matrix(data, indices, indptr,
-                            (geo.n_views_full * geo.n_dets, geo.grid.nx * geo.grid.ny))
+                            (geo.n_views_full // q * geo.n_dets, geo.grid.nx * geo.grid.ny), q)
 
 
 # A of the most recently used geometries; at 128^2 with 180 views each
-# takes about 46 MB, so a process sweeping geometries keeps only a few.
+# takes about 23 MB, so a process sweeping geometries keeps only a few.
 _cached_system_matrix = lru_cache(maxsize=4)(_build_system_matrix)
 
 
 def system_matrix(geo: ScanGeometry) -> ProjectorMatrix:
-    """Sparse (n_views*n_dets, nx*ny) matrix of ray/pixel chord lengths,
+    """The (n_views*n_dets, nx*ny) operator of ray/pixel chord lengths,
     one ray through the center of each detector bin.
 
-    All rays of a view are traced in one vectorized pass. Cached per
-    geometry; the cache keeps the matrices of the 4 most recently used
-    geometries. The adjoint is ``system_matrix(geo).T``, a CSC view of the
-    same arrays built once with the matrix, so no second copy is ever
-    built (see :mod:`dualct.projector`). Every product runs on the calling
-    thread.
+    All rays of a view are traced in one vectorized pass, for the first
+    ``1/geo.quarter_turns`` of the views; the other views' rows are those
+    rows applied to the image turned by whole quarter turns, so a ray that
+    lies on a pixel edge takes the cell its quarter-turn partner took.
+    Cached per geometry; the cache keeps the operators of the 4 most
+    recently used geometries. The adjoint is ``system_matrix(geo).T``,
+    built once with the operator on a CSC view of the same arrays, so no
+    second copy is ever built (see :mod:`dualct.projector`). Every product
+    runs on the calling thread.
     """
     return _cached_system_matrix(geo)
 
 
 def seed_system_matrix(geo: ScanGeometry, indptr: np.ndarray, indices: np.ndarray,
                        data: np.ndarray) -> bool:
-    """Puts A of ``geo``, as these CSR arrays, into the cache instead of
-    tracing it; the caller has checked their structure, as
+    """Puts A of ``geo``, as the CSR arrays of its stored rows, into the
+    cache instead of tracing it; the caller has checked their structure, as
     ``io.load_system_matrix`` does. False, and the arrays are dropped,
     when the cache holds A of ``geo`` already."""
     _seeds[geo] = (indptr, indices, data)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+import scipy.sparse
 import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -255,12 +256,12 @@ class TestSystemMatrixFile:
     def test_same_outputs_with_and_without_the_file(self, simulated, capsys):
         cfg, path = simulated
         loaded, how, err = self._reconstruct(cfg, capsys)
-        assert how == {"source": "loaded", "file": str(path)}
+        assert how == {"source": "loaded", "file": str(path), "quarter_turns": 2}
         assert err == ""
         path.unlink()
         Path(f"{path}.json").unlink()
         built, how, err = self._reconstruct(cfg, capsys)
-        assert how == {"source": "built", "file": None}
+        assert how == {"source": "built", "file": None, "quarter_turns": 2}
         assert err == ""
         assert built == loaded
 
@@ -271,8 +272,28 @@ class TestSystemMatrixFile:
         damage(path)
         got, how, err = self._reconstruct(cfg, capsys)
         assert got == want
-        assert how == {"source": "built", "file": None}
+        assert how == {"source": "built", "file": None, "quarter_turns": 2}
         assert len(err.splitlines()) == 1 and str(path) in err
+
+    def test_format_1_file_is_traced_again(self, simulated, capsys):
+        # format 1 held every row of A and no quarter_turns; the file and
+        # its sidecar are laid out here as format 1 wrote them
+        cfg, path = simulated
+        want, _, _ = self._reconstruct(cfg, capsys)
+        geo = _Setup(cfg).geometry
+        full = scipy.sparse.csr_matrix(tomo.system_matrix(geo).toarray())
+        arrays = (full.indptr, full.indices, full.data)
+        with open(path, "wb") as fh:
+            for a in arrays:
+                a.tofile(fh)
+        Path(f"{path}.json").write_text(json.dumps({
+            "format": 1, "shape": list(full.shape), "nnz": int(full.nnz),
+            "dtypes": {name: a.dtype.str for name, a in zip(("indptr", "indices", "data"), arrays)},
+            "geometry": io._geometry_record(geo)}))
+        got, how, err = self._reconstruct(cfg, capsys)
+        assert got == want
+        assert how == {"source": "built", "file": None, "quarter_turns": 2}
+        assert len(err.splitlines()) == 1 and str(path) in err and "format" in err
 
 
 class TestWeightsCommand:

@@ -338,6 +338,9 @@ class TestSystemMatrixFile:
         for got, want in zip(loaded, (built.indptr, built.indices, built.data)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert not list(path.parent.glob("*.tmp"))
+        # the stored rows: one of par16's two quarter turns
+        sidecar = json.loads(Path(f"{path}.json").read_text())
+        assert (sidecar["format"], sidecar["quarter_turns"], sidecar["shape"]) == (2, 2, [180, 256])
 
     def test_seeds_the_cache(self, saved):
         path, geo = saved
@@ -367,6 +370,10 @@ class TestSystemMatrixFile:
         (_edit_sidecar(lambda s: s["dtypes"].update(data="<f4")), "dtypes"),
         (_edit_sidecar(lambda s: s["dtypes"].update(indices="<i8")), "dtypes"),
         (_edit_sidecar(lambda s: s.update(shape=[360, 255])), "shape"),
+        # all of A's rows, as if the geometry had no quarter-turn symmetry
+        (_edit_sidecar(lambda s: s.update(shape=[360, 256], quarter_turns=1)), "quarter_turns"),
+        (_edit_sidecar(lambda s: s.update(quarter_turns=1)), "quarter_turns"),
+        (_edit_sidecar(lambda s: s.pop("quarter_turns")), "quarter_turns"),
         (_edit_sidecar(lambda s: s.pop("dtypes")), "bad sidecar"),
         (lambda path, s: Path(f"{path}.json").write_text("{not json"), "bad sidecar"),
         (lambda path, s: Path(f"{path}.json").write_text("[]"), "bad sidecar"),

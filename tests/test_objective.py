@@ -152,8 +152,23 @@ class TestLipschitz:
         spec = ProblemSpec(geo, mask, subsample_views(forward_project(truth, geo), mask))
         expected = np.linalg.norm(a, 2) ** 2
         _, l_x, _ = block_lipschitz(spec)
-        assert l_x >= expected * (1 - 1e-14)
-        assert l_x == pytest.approx(expected, rel=1e-11)
+        assert expected * (1 - 1e-14) <= l_x <= expected * (1 + 1e-6)
+
+    @pytest.mark.parametrize("make_geo", [
+        pytest.param(lambda g: parallel_geometry(8, 7, g), id="parallel_two_quarter_turns"),
+        pytest.param(lambda g: fan_geometry(8, 9, g), id="fan_four_quarter_turns"),
+        pytest.param(lambda g: parallel_geometry(7, 9, g), id="parallel_odd_views"),
+        pytest.param(lambda g: fan_geometry(6, 9, g), id="fan_views_not_a_multiple_of_4"),
+        pytest.param(lambda g: parallel_geometry(8, 7, GridSpec(6, 5, 1.0)), id="not_square"),
+    ])
+    def test_x_block_within_its_stopping_gap(self, rng, make_geo):
+        geo = make_geo(GridSpec(6, 6, 1.0))
+        mask = uniform_mask(geo.n_views_full, 2)
+        spec = ProblemSpec(geo, mask, Sinogram(geo, mask.indices(),
+                                               rng.random((2, geo.n_dets))))
+        expected = np.linalg.norm(system_matrix(geo).toarray(), 2) ** 2
+        _, l_x, _ = block_lipschitz(spec)
+        assert expected * (1 - 1e-14) <= l_x <= expected * (1 + 1e-6)
 
     def test_x_block_zero_for_zero_operator(self, rng, monkeypatch):
         spec, _ = _make_problem(rng)
@@ -183,10 +198,9 @@ class TestLipschitz:
                 ])
                 expected = np.linalg.norm(hess, 2)
                 _, _, l_f = block_lipschitz(spec)
-                if n_keep == 8:
-                    assert l_f == pytest.approx(expected, rel=1e-12)
-                else:
-                    assert l_f >= expected * (1 - 1e-12)
+                assert l_f >= expected * (1 - 1e-12)
+                if n_keep == 8:  # within the 1e-6 of l_x's bound
+                    assert l_f <= expected * (1 + 1e-6)
 
     def test_composite_exceeds_data(self, rng):
         spec, _ = _make_problem(rng, with_regs=True)

@@ -470,12 +470,12 @@ class TestPinnedOutputs:
     """
 
     PINS = {
-        "tv": ("9ac551325e98a4739693aaa485cc1aea484bdc72f967df1a145334e954ec051b",
-               "8159d289743340da2f37972998cd26051384b9d7b0d434db0352987bc7b89d4a",
-               "b4d10f7d1ba93fe29c88bbeb9f67d6097b6e564fea1f7e71a8869d2ad462c7cd"),
-        "random": ("8add841dab748187a11ec755959ec3897a69b88d5a2d6c3ea67eb86796e54ede",
-                   "e4477386e70c02a26925b68b1358ffdace5224cf301d7768795b21f9608c69a5",
-                   "5097fb71c5ec590932c540df367308bc646a555e2b4cf697bd86b15c03fa4e0a"),
+        "tv": ("584e5d942c969b12f3f227df154082087000fd106ace346228e395708807888a",
+               "f882f24817a94feaa8f9a5380a84f88f30c048353e4a20f647a6e29f36524a94",
+               "73a0954141ce447f4ff605481334ed39743286dfa025aeab4e75b4c66467d055"),
+        "random": ("64ddd331812d75624a0bc45d9d252dd11f047699c2860472bfb2dc3cf25b7a59",
+                   "8ccde7b958790309a14a69db9a82c3fd39dca590e1d56f14b621b9953394f49f",
+                   "69848ea36696608e9b81e9071a7b4c33acc33f45c975eb3095f43c6f7ea99c56"),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINS))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualct import tomo
+from dualct import io, tomo
 from dualct.errors import ConfigError, InputError
 from dualct.metrics import psnr
 from dualct.simdata import PhantomSpec, make_phantom
@@ -136,11 +137,46 @@ def _coo_build_oracle(geo):
     return mat
 
 
+@st.composite
+def symmetric_geometries(draw):
+    """A square grid of at most 8x8 pixels at a random origin and pitch,
+    and views ``phi + k*period/n`` at an off-axis phase ``phi``: parallel
+    with an even ``n``, fan with ``n % 4 == 0``, so that A is stored as one
+    quarter turn."""
+    h = draw(st.floats(0.25, 2.0))
+    n = draw(st.integers(1, 8))
+    grid = GridSpec(n, n, h, (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))))
+    kind = draw(st.sampled_from([PARALLEL, FAN]))
+    q = 2 if kind == PARALLEL else 4
+    n_views = q * draw(st.integers(1, 8 // q))
+    period = np.pi if kind == PARALLEL else 2 * np.pi
+    angles = tuple(draw(st.floats(0.0, np.pi / 2)) + np.arange(n_views) * (period / n_views))
+    assume(_off_axis(angles))
+    n_dets = draw(st.integers(1, 7))
+    if kind == PARALLEL:
+        geo = ScanGeometry(PARALLEL, angles, n_dets, draw(st.floats(0.1, 1.5)) * h, grid)
+    else:
+        xmin, xmax, ymin, ymax = grid.extent
+        radius = 0.5 * np.hypot(xmax - xmin, ymax - ymin) * draw(st.floats(1.1, 3.0))
+        geo = ScanGeometry(FAN, angles, n_dets, draw(st.floats(0.01, 0.3)), grid,
+                           source_radius=radius)
+        span = np.arange(n_dets) - 0.5 * (n_dets - 1)
+        assume(_off_axis(np.add.outer(angles, span * geo.det_spacing)))
+    assert geo.quarter_turns == q
+    return geo
+
+
+# bytes of (indptr, indices, data) of the full 180-view trace at 128^2:
+# 33301 int32 row pointers and 3,836,784 int32 columns and float64 lengths
+FULL_TRACE_BYTES_128 = 46_174_612
+
+
 # Builds the 128x128, 180-view, 185-detector matrix of the benchmark's CLI
-# pipeline in a fresh interpreter and prints A's bytes, the peak resident
-# growth during the build and the resident growth left after it. The peak
-# is the interpreter's own high-water mark (VmHWM): ru_maxrss would also
-# hold the resident size of the process that started it, kept across exec.
+# pipeline in a fresh interpreter and prints A's stored bytes, the peak
+# resident growth during the build and the resident growth left after it.
+# The peak is the interpreter's own high-water mark (VmHWM): ru_maxrss would
+# also hold the resident size of the process that started it, kept across
+# exec.
 _BUILD_MEMORY_PROBE = """
 import json
 import scipy.sparse  # loaded before the first reading: its import is not the build's
@@ -158,6 +194,24 @@ print(json.dumps({"a": a.data.nbytes + a.indices.nbytes + a.indptr.nbytes,
                   "peak": peak - before, "after": status("VmRSS") - before}))
 """
 
+# Loads the saved 128^2 A of the probe above into the cache of a fresh
+# interpreter and prints how far that raised its high-water mark.
+_LOAD_MEMORY_PROBE = """
+import json, sys
+import scipy.sparse  # loaded before the first reading: its import is not the load's
+from dualct import io, tomo
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+geo = tomo.parallel_geometry(180, 185, tomo.GridSpec(128, 128, 2.0 / 128))
+before = status("VmHWM")
+assert tomo.seed_system_matrix(geo, *io.load_system_matrix(sys.argv[1], geo))
+a = tomo.system_matrix(geo)
+print(json.dumps({"peak": status("VmHWM") - before}))
+"""
+
 
 class TestSystemMatrix:
     @settings(max_examples=60, deadline=None)
@@ -166,15 +220,17 @@ class TestSystemMatrix:
         np.testing.assert_allclose(system_matrix(geo).toarray(), dense_matrix_oracle(geo),
                                    rtol=0, atol=1e-10)
 
-    # sha256 of (indptr, indices, data), recorded from the per-ray tracing
-    # loop this vectorized tracer replaced; the build must stay byte-identical.
+    # sha256 of the stored (indptr, indices, data). rect_offset_wide's were
+    # recorded from the per-ray tracing loop this vectorized tracer replaced;
+    # the others hold one quarter turn's rows, byte for byte the first rows
+    # of that loop's full trace.
     PINNED = {
         # theta = 0 and pi/2 with detector bins on pixel edges
         "parallel16_axis": (lambda: parallel_geometry(8, 17, GridSpec(16, 16, 1.0),
                                                       det_spacing=1.0),
-                            "f4dc00701e694ac026f1cb81445544d670718fee8ec631207733ce8facabb83a",
-                            "8b54ad1e25d671c013802f0f36969cc21fa4f95a265140657c56d8e94db08ead",
-                            "4b9dbfff5dc0fa80340d5e969cee47df6abea611c49445bd404e440fd407aa6e"),
+                            "9fada7e70657190b9de4f9925f431efe03d83d9fc81837538fe4274584cad82e",
+                            "4299cb73672ced5ba703a3ef07f74826d9f65829be333d22432d51a98271d46c",
+                            "ff9d8c28d590bdeac8f7cd94eb3c0c585ea556a30d5918904433dcdd446012b5"),
         # offset origin, detector span wider than the grid: 246 empty rows
         "rect_offset_wide": (lambda: ScanGeometry(
                                 PARALLEL, tuple(np.arange(10) * (np.pi / 10) + 0.05), 41, 0.9,
@@ -183,18 +239,18 @@ class TestSystemMatrix:
                              "de7944796560a2267887045c9dd06bd253c517cf3a2e389b72bf01c7e7101b85",
                              "b074203f4782ae7e4452264b56c4525a9301b45f1dfe1f7623bdf29e6bdf2cee"),
         "fan": (lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)),
-                "4cc0e217b04b059690b587937f6ea98c128279ecdad03eb1257c1f58f1f76355",
-                "08fb24a6b802f07d3d70b6cb91efa39262fbf99ced7a4230961d36d2176a3eb2",
-                "05c585230ce4d5b60555195c42e7c18513406597d0654b9d5e76eb817fc4b218"),
+                "28ce5a97a4a16bca81af6effd7352a5f669b53d9562832ad6b50f104fc7f1dc1",
+                "fd3b6d43d01f28724289f54ce9e833c0d97628b1f240cc91a14a7f23a5139d96",
+                "30d3ca4bedbb4279cf62b488236a28fe9ec8edfc295f23dad425b287996e5968"),
         "grid1x1": (lambda: parallel_geometry(4, 3, GridSpec(1, 1, 1.0)),
-                    "c72dd2e22cfe4b7a3023394a011364af88315aa6e10c0f8b4c955f8e17ae1c4c",
-                    "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
-                    "048ba90947ebcbd10a314799db283722492b8e027b38a4c4cfc3927e4cc7b285"),
+                    "e1a613aa4b331588d97b5feef1faabe8e8138d8c488ee9122b8533bfdda3c189",
+                    "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+                    "e3440e79ef46ad30f5670d4e445e022b5eb9bdbdb80462a273373ac38796c2aa"),
         # the benchmark's tv64 geometry
         "tv64": (lambda: parallel_geometry(90, 95, GridSpec(64, 64, 2.0 / 64)),
-                 "4f7c2603a28a795af6698d22eb0e88736187baf18385a12f5c51d7e07b92722e",
-                 "f725b5e1a0c93cc67c8e4582110abce4a44cea8f08ac7ebbe0e299f0d5e31545",
-                 "f3f48028640b8bf6598ceabe8c5f916a6e468487f5d4898ce8cb8dc11ee7b3fc"),
+                 "5307b26cfe07b956e03a5a9cba51e85100c84b52c6b037a9bdd6ff1c716cd6db",
+                 "18b5a8f02591d29021e5792b8e1dd1a8dd1a78e75ba232a968a045e89438ce9a",
+                 "4b3915c44645f6e0bf4b774ae23e04988b2f5dcd4d0605fd71b2f2c291189e7b"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -222,9 +278,13 @@ class TestSystemMatrix:
 
     @staticmethod
     def _assert_matches_coo_build(geo):
+        # the stored rows are the first rows of the full per-view trace
         mat, oracle = system_matrix(geo), _coo_build_oracle(geo)
-        for got, want in ((mat.indptr, oracle.indptr), (mat.indices, oracle.indices),
-                          (mat.data, oracle.data)):
+        n_rows = mat.indptr.size - 1
+        assert n_rows * geo.quarter_turns == oracle.shape[0] == mat.shape[0]
+        nnz = oracle.indptr[n_rows]
+        for got, want in ((mat.indptr, oracle.indptr[:n_rows + 1]),
+                          (mat.indices, oracle.indices[:nnz]), (mat.data, oracle.data[:nnz])):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
         assert np.diff(mat.indptr).max() <= geo.grid.nx + geo.grid.ny + 3
@@ -238,32 +298,99 @@ class TestSystemMatrix:
     def test_matches_coo_build_pinned(self, name):
         self._assert_matches_coo_build(self.PINNED[name][0]())
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="needs /proc/self/status for the resident sizes")
-    def test_build_memory(self):
+    @staticmethod
+    def _probe(script, *args):
         src = str(Path(tomo.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-c", _BUILD_MEMORY_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status for the resident sizes")
+    def test_build_memory(self):
+        got = self._probe(_BUILD_MEMORY_PROBE)
         # the buffers are shrunk in place to A's arrays, so at its peak the
         # build holds A and a few per-view temporaries, and frees all but A
         assert got["peak"] <= 1.3 * got["a"], got
         assert got["after"] <= 1.2 * got["a"], got
+        # one quarter turn of two is stored
+        assert got["a"] <= 0.51 * FULL_TRACE_BYTES_128, got
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status for the resident sizes")
+    def test_load_memory(self, tmp_path):
+        geo = parallel_geometry(180, 185, GridSpec(128, 128, 2.0 / 128))
+        path = tmp_path / io.SYSTEM_MATRIX_FILE
+        io.save_system_matrix(path, geo, tomo._build_system_matrix(geo))
+        got = self._probe(_LOAD_MEMORY_PROBE, path)
+        assert got["peak"] <= 0.6 * FULL_TRACE_BYTES_128, got
 
     @pytest.mark.parametrize("geo_name", ["par16", "fan16"])
     def test_transpose_built_once(self, geo_name, request, rng):
-        mat = tomo._build_system_matrix(request.getfixturevalue(geo_name))
-        plain = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-        assert isinstance(mat, sp.csr_matrix) and mat.T is mat.T
-        assert np.shares_memory(mat.T.data, mat.data)
-        assert (mat != plain).nnz == 0
-        np.testing.assert_array_equal(mat.toarray(), plain.toarray())
+        geo = request.getfixturevalue(geo_name)
+        q = {"par16": 2, "fan16": 1}[geo_name]  # 18 fan views are not a multiple of 4
+        mat = tomo._build_system_matrix(geo)
+        n_rows = mat.indptr.size - 1
+        plain = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n_rows, mat.shape[1]))
+        assert mat.quarter_turns == geo.quarter_turns == q
+        assert mat.shape == (q * n_rows, mat.shape[1]) == (geo.n_views_full * geo.n_dets,
+                                                           geo.grid.nx * geo.grid.ny)
+        assert mat.T is mat.T and mat.T.shape == mat.shape[::-1]
+        assert np.shares_memory(mat.T._rows_t.data, mat.data)
+
+        def turn(v, j):
+            return np.rot90(v.reshape(geo.grid.shape), j).ravel()
+
+        # block j of A is the stored rows applied to the image turned by j
+        # quarter turns, and its adjoint turns back
+        np.testing.assert_array_equal(mat.toarray(), np.vstack([
+            plain.toarray()[:, turn(np.arange(mat.shape[1]), -j)] for j in range(q)]))
         x, r = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
-        assert (mat @ x).tobytes() == (plain @ x).tobytes()
-        assert (mat.T @ r).tobytes() == (plain.T @ r).tobytes()
+        want_ax = np.concatenate([plain @ turn(x, j) for j in range(q)])
+        want_atr = plain.T @ r[:n_rows]
+        for j in range(1, q):
+            want_atr += turn(plain.T @ r[j * n_rows:(j + 1) * n_rows], -j)
+        assert (mat @ x).tobytes() == want_ax.tobytes()
+        assert (mat.T @ r).tobytes() == want_atr.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(symmetric_geometries())
+    def test_quarter_turns_match_the_full_trace(self, geo):
+        mat = system_matrix(geo)
+        dense = mat.toarray()
+        np.testing.assert_allclose(dense, dense_matrix_oracle(geo), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dense, _coo_build_oracle(geo).toarray(), rtol=0,
+                                   atol=1e-12 * geo.grid.pixel_size)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            x, z = rng.standard_normal(mat.shape[1]), rng.standard_normal(mat.shape[0])
+            ax = mat @ x
+            denom = np.linalg.norm(ax) * np.linalg.norm(z)
+            assert abs(np.dot(ax, z) - np.dot(x, mat.T @ z)) <= 1e-12 * denom
+
+    @pytest.mark.parametrize("make_geo, q", [
+        pytest.param(lambda: parallel_geometry(18, 20, GridSpec(16, 16, 1.0, origin=(2.5, -1.0))),
+                     2, id="parallel_offset_origin"),
+        pytest.param(lambda: fan_geometry(16, 25, GridSpec(16, 16, 1.0)), 4, id="fan16"),
+        pytest.param(lambda: TestSystemMatrix.PINNED["rect_offset_wide"][0](), 1,
+                     id="rect_offset_wide"),
+        pytest.param(lambda: parallel_geometry(17, 20, GridSpec(16, 16, 1.0)), 1,
+                     id="parallel_odd_views"),
+        pytest.param(lambda: fan_geometry(18, 20, GridSpec(16, 16, 1.0)), 1,
+                     id="fan_views_not_a_multiple_of_4"),
+        pytest.param(lambda: replace(parallel_geometry(8, 9, GridSpec(8, 8, 1.0)), angles=tuple(
+                         np.arange(8) * (np.pi / 8) + np.eye(8)[5] * 1e-9)), 1,
+                     id="a_view_1e-9_off_its_quarter_turn"),
+    ])
+    def test_quarter_turns_rule(self, make_geo, q):
+        geo = make_geo()
+        assert geo.quarter_turns == q
+        assert system_matrix(geo).quarter_turns == q
+        # with q = 1, every row, byte for byte as the full per-view trace
+        self._assert_matches_coo_build(geo)
 
     def test_cache_evicts_least_recently_used(self, grid8):
         tomo._cached_system_matrix.cache_clear()
@@ -278,7 +405,7 @@ class TestSystemMatrix:
         # geos[1] was evicted
         rebuilt = system_matrix(geos[1])
         assert rebuilt is not mats[1]
-        assert (rebuilt != mats[1]).nnz == 0
+        np.testing.assert_array_equal(rebuilt.toarray(), mats[1].toarray())
         assert tomo._cached_system_matrix.cache_info().currsize == size
 
 
